@@ -28,7 +28,7 @@
 //                   client-side traces). A stall watchdog dumps a shard's
 //                   tracer ring if its driving thread stops stepping for
 //                   2s with mailbox work queued.
-//                   --poller=auto|poll|epoll|io_uring selects the pump's
+//                   --poller=auto|poll|epoll selects the pump's
 //                   readiness backend (auto = SETREC_POLLER env, else
 //                   epoll on Linux, else poll).
 //
@@ -392,7 +392,7 @@ int main(int argc, char** argv) {
         if (std::strncmp(argv[j], "--poller=", 9) == 0) {
           Result<PollerKind> kind = ParsePollerKind(argv[j] + 9);
           if (!kind.ok()) {
-            std::fprintf(stderr, "--poller needs auto|poll|epoll|io_uring\n");
+            std::fprintf(stderr, "--poller needs auto|poll|epoll\n");
             return 2;
           }
           poller = kind.value();
@@ -423,8 +423,7 @@ int main(int argc, char** argv) {
         if (std::strncmp(argv[j], "--poller=", 9) == 0) {
           Result<PollerKind> kind = ParsePollerKind(argv[j] + 9);
           if (!kind.ok()) {
-            std::fprintf(stderr,
-                         "--poller needs auto|poll|epoll|io_uring\n");
+            std::fprintf(stderr, "--poller needs auto|poll|epoll\n");
             return 2;
           }
           poller = kind.value();

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot gate driver: runs the four verification lanes (default, asan,
-# tsan, lint — see docs/ANALYSIS.md) plus the obs smoke lanes
-# (bench gate + live distributed-obs probe, docs/OBSERVABILITY.md) and
-# exits non-zero if any fails.
+# tsan, lint — see docs/ANALYSIS.md) plus the perfbench selftest and the
+# obs smoke lanes (bench gate + live distributed-obs probe,
+# docs/OBSERVABILITY.md) and exits non-zero if any fails.
 # Usage: scripts/check.sh [-j N]
 set -u
 
@@ -42,6 +42,11 @@ lane() {
 run default-configure cmake -B build -S . &&
   run default-build cmake --build build -j "$jobs" &&
   run default-test ctest --test-dir build --output-on-failure
+
+# Lane 1a: perfbench selftest — the repo benchmark compiles src/ by glob
+# with its own CMakeLists and calls the wire-codec API directly, so an API
+# cut that breaks it fails here before it reaches a benchmark run.
+run perfbench-selftest python3 perfbench/run.py --selftest
 
 # Lane 1b: obs smoke — bench_service's built-in gate fails on modeled
 # metrics overhead > 2% or any empty hot-path histogram.
@@ -120,4 +125,4 @@ if [ "${#failed[@]}" -ne 0 ]; then
   echo "CHECK FAILED: ${failed[*]}"
   exit 1
 fi
-echo "CHECK OK: default, obs-smoke, distributed-obs, net-scale, asan, tsan, lint all green"
+echo "CHECK OK: default, perfbench-selftest, obs-smoke, distributed-obs, net-scale, asan, tsan, lint all green"

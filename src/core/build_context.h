@@ -234,14 +234,12 @@ class ProtocolContext {
   /// memoized table instead of a per-cell re-parse of identical bytes; the
   /// reader advances identically either way. `codec` selects the wire
   /// decoding (SsrParams::wire_codec — the cache key must already encode
-  /// it) and `lineage` lets the doubling protocols parse delta frames
-  /// against their previous attempt's table.
+  /// it).
   virtual Result<Iblt> ParseTableMemo(uint64_t key, ByteReader* reader,
                                       const IbltConfig& config,
-                                      WireCodec codec = WireCodec::kDense,
-                                      const TableLineage& lineage = {}) {
+                                      WireCodec codec = WireCodec::kDense) {
     (void)key;
-    return Iblt::DeserializeWith(codec, reader, config, lineage);
+    return Iblt::DeserializeWith(codec, reader, config);
   }
 
   /// Anti-stampede lease around a cache miss: true = caller is now the

@@ -124,11 +124,9 @@ Task<Status> BuildLevelSketches(const SetOfSets& children,
 Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
                                              size_t d_hat, uint64_t seed,
                                              size_t* next,
-                                             AttemptTables* lineage,
                                              Channel* channel,
                                              ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
-  const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(seed, /*tag=*/0x66706373ull);
   const CascadePlan plan = MakePlan(h, d, d_hat, seed);
 
@@ -147,7 +145,6 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
     for (size_t i = 0; i < alice.size(); ++i) {
       fps[i] = ChildFingerprint(alice[i], fp_family);
     }
-    AttemptTables built;  // This attempt's tables, kept only when sparse.
     std::vector<Iblt> sketches;
     for (size_t level = 0; level < plan.t; ++level) {
       Status s = co_await BuildLevelSketches(alice, plan.child_configs[level],
@@ -160,15 +157,7 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
       Iblt outer(plan.outer_configs[level]);
       ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
       co_await ctx->FlushBuilds();
-      // Delta vs. the previous attempt's table at this level when the
-      // config repeats (a doubling retry changes the seed today, so this
-      // mostly degrades to a full sparse frame — the lineage hook is what
-      // makes any future same-config retransmission nearly free).
-      TableLineage parent{level < lineage->outers.size()
-                              ? &lineage->outers[level]
-                              : nullptr};
-      outer.SerializeWith(params_.wire_codec, writer, parent);
-      if (sparse) built.outers.push_back(std::move(outer));
+      outer.SerializeWith(params_.wire_codec, writer);
     }
     if (plan.has_star) {
       ByteWriter packed;
@@ -178,12 +167,8 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
       Iblt star(plan.star_config);
       ctx->QueueInsertBytes(&star, packed.bytes().data(), alice.size());
       co_await ctx->FlushBuilds();
-      star.SerializeWith(
-          params_.wire_codec, writer,
-          TableLineage{lineage->star ? &*lineage->star : nullptr});
-      if (sparse) built.star = std::move(star);
+      star.SerializeWith(params_.wire_codec, writer);
     }
-    if (sparse) *lineage = std::move(built);
     co_return Status::Ok();
   };
   Result<size_t> sent =
@@ -196,10 +181,8 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
 
 Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed, size_t* next,
-    AttemptTables* lineage, bool* peer_aborted, Channel* channel,
-    ProtocolContext* ctx) const {
+    bool* peer_aborted, Channel* channel, ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
-  const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(seed, /*tag=*/0x66706373ull);
   const CascadePlan plan = MakePlan(h, d, d_hat, seed);
   uint64_t cache_key = ProtocolCacheKey(
@@ -220,31 +203,19 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   }
   std::vector<Iblt> outer_tables;
   for (size_t level = 0; level < plan.t; ++level) {
-    TableLineage parent{level < lineage->outers.size()
-                            ? &lineage->outers[level]
-                            : nullptr};
     Result<Iblt> table = ctx->ParseTableMemo(TableMemoKey(cache_key, level),
                                              &reader,
                                              plan.outer_configs[level],
-                                             params_.wire_codec, parent);
+                                             params_.wire_codec);
     if (!table.ok()) co_return table.status();
     outer_tables.push_back(std::move(table).value());
   }
   Result<Iblt> star_table =
       plan.has_star
-          ? ctx->ParseTableMemo(
-                TableMemoKey(cache_key, plan.t), &reader, plan.star_config,
-                params_.wire_codec,
-                TableLineage{lineage->star ? &*lineage->star : nullptr})
+          ? ctx->ParseTableMemo(TableMemoKey(cache_key, plan.t), &reader,
+                                plan.star_config, params_.wire_codec)
           : InvalidArgument("unused");
   if (plan.has_star && !star_table.ok()) co_return star_table.status();
-  if (sparse) {
-    // Retain pristine copies for the next attempt's delta frames before the
-    // decode below erases Bob's encodings out of the tables in place.
-    lineage->outers = outer_tables;
-    lineage->star.reset();
-    if (plan.has_star) lineage->star = star_table.value();
-  }
 
   std::vector<bool> in_db(bob.size(), false);   // Bob's differing children.
   SetOfSets da;                                  // Alice's recovered children.
@@ -414,7 +385,6 @@ Task<Status> CascadingProtocol::ReconcileAsyncAlice(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  AttemptTables lineage;  // Previous attempt's tables (sparse delta frames).
   co_return co_await RunAliceTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
@@ -425,8 +395,7 @@ Task<Status> CascadingProtocol::ReconcileAsyncAlice(
       },
       [&](int, uint64_t seed) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptAlice(alice, d, d_hat, seed, &next, &lineage, channel,
-                            ctx);
+        return AttemptAlice(alice, d, d_hat, seed, &next, channel, ctx);
       },
       [&] {
         // Clamped identically in both halves: a remote peer's fail
@@ -458,7 +427,6 @@ Task<Result<SsrOutcome>> CascadingProtocol::ReconcileAsyncBob(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  AttemptTables lineage;  // Previous attempt's tables (sparse delta frames).
   co_return co_await RunBobTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
@@ -469,8 +437,8 @@ Task<Result<SsrOutcome>> CascadingProtocol::ReconcileAsyncBob(
       },
       [&](int, uint64_t seed, bool* peer_aborted) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptBob(bob, d, d_hat, seed, &next, &lineage, peer_aborted,
-                          channel, ctx);
+        return AttemptBob(bob, d, d_hat, seed, &next, peer_aborted, channel,
+                          ctx);
       },
       [&] {
         if (!known_d.has_value()) {

@@ -36,29 +36,16 @@ class CascadingProtocol : public SetsOfSetsProtocol {
       const override;
 
  private:
-  /// The previous attempt's wire tables, retained across the trial loop
-  /// under WireCodec::kSparse so a retry can send delta frames for any
-  /// level whose config repeats (TableLineage). Both halves keep their own
-  /// copy — Alice the tables she built, Bob the tables he parsed — and the
-  /// two agree bit-for-bit whenever a config repeats, because an attempt
-  /// table is a deterministic function of (sender set, config). Stays
-  /// empty under kDense.
-  struct AttemptTables {
-    std::vector<Iblt> outers;
-    std::optional<Iblt> star;
-  };
-
   /// Builds and sends one attempt's cascade message (all t levels + T*);
   /// the verdict is received by the caller. Level configs derive from the
   /// shared (params, d, d_hat, seed) on both sides.
   Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t d_hat,
-                            uint64_t seed, size_t* next,
-                            AttemptTables* lineage, Channel* channel,
+                            uint64_t seed, size_t* next, Channel* channel,
                             ProtocolContext* ctx) const;
   Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t d,
                                      size_t d_hat, uint64_t seed,
-                                     size_t* next, AttemptTables* lineage,
-                                     bool* peer_aborted, Channel* channel,
+                                     size_t* next, bool* peer_aborted,
+                                     Channel* channel,
                                      ProtocolContext* ctx) const;
 
   SsrParams params_;

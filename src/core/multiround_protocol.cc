@@ -52,11 +52,9 @@ IbltConfig FingerprintConfig(size_t d_hat, uint64_t seed) {
 
 Task<Status> MultiRoundProtocol::AttemptAlice(
     const SetOfSets& alice, std::optional<size_t> known_d, size_t d_hat,
-    bool carry_d_hat, uint64_t seed, size_t* next,
-    std::optional<Iblt>* fp_lineage, AttemptEnd* end, Channel* channel,
-    ProtocolContext* ctx) const {
+    bool carry_d_hat, uint64_t seed, size_t* next, AttemptEnd* end,
+    Channel* channel, ProtocolContext* ctx) const {
   *end = AttemptEnd::kRetry;
-  const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(seed, /*tag=*/0x66706d72ull);
   const L0Estimator::Params est_params = ChildEstimatorParams(seed);
 
@@ -83,14 +81,7 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
     ctx->QueueInsertU64(&ta, alice_fps.data(), alice_fps.size());
     co_await ctx->FlushBuilds();
     writer->PutU64(ParentFingerprint(alice, fp_family));
-    // A retry whose fingerprint config repeats resends only changed cells
-    // (today each attempt folds the trial into the seed, so this mostly
-    // degrades to a full frame; the lineage hook makes any same-config
-    // retransmission a four-byte unchanged marker).
-    ta.SerializeWith(
-        params_.wire_codec, writer,
-        TableLineage{*fp_lineage ? &**fp_lineage : nullptr});
-    if (sparse) *fp_lineage = std::move(ta);
+    ta.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
   };
   Result<size_t> sent =
@@ -279,10 +270,9 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
 
 Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
     const SetOfSets& bob, size_t* d_hat, bool carry_d_hat, uint64_t seed,
-    size_t* next, std::optional<Iblt>* fp_lineage, AttemptEnd* end,
-    Channel* channel, ProtocolContext* ctx) const {
+    size_t* next, AttemptEnd* end, Channel* channel,
+    ProtocolContext* ctx) const {
   *end = AttemptEnd::kRetry;
-  const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(seed, /*tag=*/0x66706d72ull);
   const L0Estimator::Params est_params = ChildEstimatorParams(seed);
 
@@ -316,17 +306,13 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
                                  ParseError("mr msg1 truncated"));
   }
   Result<Iblt> ta_received = ctx->ParseTableMemo(
-      TableMemoKey(cache_key, 0), &r1, fp_config, params_.wire_codec,
-      TableLineage{*fp_lineage ? &**fp_lineage : nullptr});
+      TableMemoKey(cache_key, 0), &r1, fp_config, params_.wire_codec);
   if (!ta_received.ok()) {
     *end = AttemptEnd::kTerminal;
     co_return co_await SendAbort(ctx, channel, Party::kBob,
                                  ta_received.status());
   }
   Iblt fp_diff = std::move(ta_received).value();
-  // Retain the pristine parse for the next attempt's delta frame before the
-  // erase below mutates the table in place.
-  if (sparse) *fp_lineage = fp_diff;
 
   // Pooled scratch, reused for the fingerprint and child decodes (all u64
   // decodes here return owning vectors, so holding it across round yields
@@ -591,7 +577,6 @@ Task<Status> MultiRoundProtocol::ReconcileAsyncAlice(
 
   // Shared trial driver (AttemptEnd flavor: the verdict exchange is
   // interleaved with the attempt's own four messages).
-  std::optional<Iblt> fp_lineage;  // Previous attempt's fingerprint table.
   co_return co_await RunAliceEndTrials(
       ctx, params_.max_attempts,
       [&](int trial) {
@@ -600,7 +585,7 @@ Task<Status> MultiRoundProtocol::ReconcileAsyncAlice(
       },
       [&](int, uint64_t seed, AttemptEnd* end) {
         return AttemptAlice(alice, known_d, d_hat, estimated, seed, &next,
-                            &fp_lineage, end, channel, ctx);
+                            end, channel, ctx);
       },
       [&] {
         if (estimated) {
@@ -652,7 +637,6 @@ Task<Result<SsrOutcome>> MultiRoundProtocol::ReconcileAsyncBob(
   }
 
   // Bob's retry state (d_hat) rides on the wire; empty on_retry.
-  std::optional<Iblt> fp_lineage;  // Previous attempt's fingerprint table.
   co_return co_await RunBobEndTrials(
       ctx, channel, params_.max_attempts,
       [&](int trial) {
@@ -660,8 +644,8 @@ Task<Result<SsrOutcome>> MultiRoundProtocol::ReconcileAsyncBob(
                           kAttemptTag + static_cast<uint64_t>(trial));
       },
       [&](int, uint64_t seed, AttemptEnd* end) {
-        return AttemptBob(bob, &d_hat, estimated, seed, &next, &fp_lineage,
-                          end, channel, ctx);
+        return AttemptBob(bob, &d_hat, estimated, seed, &next, end, channel,
+                          ctx);
       },
       [] {}, "multiround failed: ");
 }

@@ -46,25 +46,17 @@ class MultiRoundProtocol : public SetsOfSetsProtocol {
   /// as verdict frames in the failing party's next slot, so both parties
   /// fall through to the next attempt in lockstep; `*end` reports how the
   /// attempt concluded (see split_party.h).
-  /// `fp_lineage` is the previous attempt's fingerprint table, retained by
-  /// the trial loop under WireCodec::kSparse so a doubling retry whose
-  /// fingerprint config repeats sends a delta frame (TableLineage) instead
-  /// of re-sending unchanged estimator state. Alice stores the table she
-  /// built, Bob the table he parsed; the two agree whenever a config
-  /// repeats because the table is a deterministic function of (Alice's
-  /// set, config). Stays empty under kDense.
   Task<Status> AttemptAlice(const SetOfSets& alice,
                             std::optional<size_t> known_d, size_t d_hat,
                             bool carry_d_hat, uint64_t seed, size_t* next,
-                            std::optional<Iblt>* fp_lineage, AttemptEnd* end,
-                            Channel* channel, ProtocolContext* ctx) const;
+                            AttemptEnd* end, Channel* channel,
+                            ProtocolContext* ctx) const;
   /// Bob's side of one attempt; `*d_hat` is updated from the msg1 prefix in
   /// estimator mode. Sends the msg4 verdict itself (ok or fail).
   Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t* d_hat,
                                      bool carry_d_hat, uint64_t seed,
-                                     size_t* next,
-                                     std::optional<Iblt>* fp_lineage,
-                                     AttemptEnd* end, Channel* channel,
+                                     size_t* next, AttemptEnd* end,
+                                     Channel* channel,
                                      ProtocolContext* ctx) const;
 
   SsrParams params_;

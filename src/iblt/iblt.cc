@@ -5,28 +5,17 @@
 #include <cstring>
 #include <thread>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define SETREC_X86_SIMD 1
-#endif
-
 #include "hashing/random.h"
 
 namespace setrec {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Runtime-dispatched lane XOR. Two shapes cover every key XOR the table
-// does: dst[i] ^= src[i] over n lanes (Subtract/Add, peel removal), and
-// dst ^= `width` raw key bytes (cell updates). The AVX2 variants run
-// 4-lane (32-byte) steps and the AVX-512 variants 8-lane (64-byte) steps
-// with masked tails — the win shows on wide blob keys (cascading outer
-// tables, child encodings); 8-byte keys stay on the single-lane fast
-// path. Results are bit-identical across backends, so tables, wire bytes
-// and decodes do not depend on the host's ISA.
-// ---------------------------------------------------------------------------
-
+// Lane XOR. Two shapes cover every key XOR the table does: dst[i] ^=
+// src[i] over n lanes (Subtract/Add, peel removal), and dst ^= `width` raw
+// key bytes (cell updates). Plain word loops: hand-written AVX2/AVX-512
+// kernels measured 0.98-1.10x on the IBLT microbench and no end-to-end
+// difference, so these are the only backend.
 // LINT(alloc-free) — these kernels run per peeled key inside the decode
 // loop and back the decode_allocs_warm == 0 benchmark claim; setrec_lint
 // rejects any allocating call landing between here and LINT(end).
@@ -48,126 +37,7 @@ void XorKeyScalar(uint64_t* dst, const uint8_t* key, size_t width) {
     dst[full] ^= lane;
   }
 }
-
-#ifdef SETREC_X86_SIMD
-__attribute__((target("avx2"))) void XorLanesAvx2(uint64_t* dst,
-                                                  const uint64_t* src,
-                                                  size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-__attribute__((target("avx2"))) void XorKeyAvx2(uint64_t* dst,
-                                                const uint8_t* key,
-                                                size_t width) {
-  const size_t full = width / 8;
-  size_t i = 0;
-  for (; i + 4 <= full; i += 4) {
-    // Key bytes come from packed caller buffers (unaligned); lane arenas
-    // are 64-byte aligned but loadu costs nothing when they are.
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(key + 8 * i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(a, b));
-  }
-  for (; i < full; ++i) {
-    uint64_t lane;
-    std::memcpy(&lane, key + 8 * i, 8);
-    dst[i] ^= lane;
-  }
-  if (const size_t rem = width % 8; rem != 0) {
-    uint64_t lane = 0;
-    std::memcpy(&lane, key + 8 * full, rem);
-    dst[full] ^= lane;
-  }
-}
-// AVX-512 variants: 8-lane (64-byte) strides with masked tails, so there
-// is no scalar cleanup loop — the final partial block is one maskz load /
-// mask store pair (masked-out lanes are architecturally not accessed).
-__attribute__((target("avx512f"))) void XorLanesAvx512(uint64_t* dst,
-                                                       const uint64_t* src,
-                                                       size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + i);
-    const __m512i b = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(a, b));
-  }
-  if (const size_t rem = n - i; rem != 0) {
-    const __mmask8 m = static_cast<__mmask8>((1u << rem) - 1);
-    const __m512i a = _mm512_maskz_loadu_epi64(m, dst + i);
-    const __m512i b = _mm512_maskz_loadu_epi64(m, src + i);
-    _mm512_mask_storeu_epi64(dst + i, m, _mm512_xor_si512(a, b));
-  }
-}
-
-__attribute__((target("avx512f"))) void XorKeyAvx512(uint64_t* dst,
-                                                     const uint8_t* key,
-                                                     size_t width) {
-  const size_t full = width / 8;
-  size_t i = 0;
-  for (; i + 8 <= full; i += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + i);
-    const __m512i b = _mm512_loadu_si512(key + 8 * i);
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(a, b));
-  }
-  if (const size_t rem_lanes = full - i; rem_lanes != 0) {
-    const __mmask8 m = static_cast<__mmask8>((1u << rem_lanes) - 1);
-    const __m512i a = _mm512_maskz_loadu_epi64(m, dst + i);
-    const __m512i b = _mm512_maskz_loadu_epi64(m, key + 8 * i);
-    _mm512_mask_storeu_epi64(dst + i, m, _mm512_xor_si512(a, b));
-  }
-  if (const size_t rem = width % 8; rem != 0) {
-    // Sub-word tail: the key buffer ends mid-lane, so a masked 64-bit load
-    // could touch bytes past the buffer. Stay scalar for the last < 8 bytes.
-    uint64_t lane = 0;
-    std::memcpy(&lane, key + 8 * full, rem);
-    dst[full] ^= lane;
-  }
-}
-#endif  // SETREC_X86_SIMD
 // LINT(end)
-
-using XorLanesFn = void (*)(uint64_t*, const uint64_t*, size_t);
-using XorKeyFn = void (*)(uint64_t*, const uint8_t*, size_t);
-
-bool HostHasAvx2() {
-#ifdef SETREC_X86_SIMD
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-bool HostHasAvx512() {
-#ifdef SETREC_X86_SIMD
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
-#ifdef SETREC_X86_SIMD
-XorLanesFn g_xor_lanes = HostHasAvx512() ? &XorLanesAvx512
-                         : HostHasAvx2() ? &XorLanesAvx2
-                                         : &XorLanesScalar;
-XorKeyFn g_xor_key = HostHasAvx512() ? &XorKeyAvx512
-                     : HostHasAvx2() ? &XorKeyAvx2
-                                     : &XorKeyScalar;
-#else
-XorLanesFn g_xor_lanes = &XorLanesScalar;
-XorKeyFn g_xor_key = &XorKeyScalar;
-#endif
 
 // Sizing constant: cells per expected difference key. Theorem 2.1 promises
 // decode w.h.p. with m = O(d); k=4 peeling succeeds asymptotically above
@@ -184,44 +54,7 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-// XORs `width` key bytes into a lane-aligned destination. Keys of up to
-// three lanes inline word-wide (the memcpy loads compile to single
-// unaligned moves; the sub-word tail lands in the zero-padded final lane);
-// wider blob keys go through the dispatched 32-byte-lane backend.
-inline void XorKeyIntoLanes(uint64_t* dst, const uint8_t* key, size_t width) {
-  if (width >= 32) {
-    g_xor_key(dst, key, width);
-    return;
-  }
-  XorKeyScalar(dst, key, width);
-}
-
 }  // namespace
-
-const char* Iblt::LaneXorBackend() {
-#ifdef SETREC_X86_SIMD
-  if (g_xor_lanes == &XorLanesAvx512) return "avx512";
-  if (g_xor_lanes == &XorLanesAvx2) return "avx2";
-#endif
-  return "scalar";
-}
-
-void Iblt::ForceScalarLaneXorForTest(bool force) {
-  if (force) {
-    g_xor_lanes = &XorLanesScalar;
-    g_xor_key = &XorKeyScalar;
-    return;
-  }
-#ifdef SETREC_X86_SIMD
-  if (HostHasAvx512()) {
-    g_xor_lanes = &XorLanesAvx512;
-    g_xor_key = &XorKeyAvx512;
-  } else if (HostHasAvx2()) {
-    g_xor_lanes = &XorLanesAvx2;
-    g_xor_key = &XorKeyAvx2;
-  }
-#endif
-}
 
 int Iblt::sharded_workers_for_test = 0;
 IbltBatchOptions Iblt::batch_options_;
@@ -344,7 +177,7 @@ void Iblt::Update(const uint8_t* key, int32_t delta) {
     size_t cell = CellForIndex(h.bucket, i);
     meta_[cell].count += delta;
     meta_[cell].check ^= h.check;
-    XorKeyIntoLanes(CellLanes(cell), key, config_.key_width);
+    XorKeyScalar(CellLanes(cell), key, config_.key_width);
   }
 }
 
@@ -367,7 +200,7 @@ void Iblt::ApplyPartitionRange(const KeyHashes* hashes,
         size_t cell = CellForIndex(hashes[j].bucket, i);
         meta_[cell].count += delta;
         meta_[cell].check ^= hashes[j].check;
-        XorKeyIntoLanes(CellLanes(cell), byte_keys + j * w, w);
+        XorKeyScalar(CellLanes(cell), byte_keys + j * w, w);
       }
     }
   }
@@ -523,9 +356,7 @@ Status Iblt::Subtract(const Iblt& other) {
     meta_[i].count -= other.meta_[i].count;
     meta_[i].check ^= other.meta_[i].check;
   }
-  // One contiguous arena XOR — the dispatched backend runs it 32 bytes at
-  // a time on AVX2 hosts.
-  g_xor_lanes(key_lanes_.data(), other.key_lanes_.data(), key_lanes_.size());
+  XorLanesScalar(key_lanes_.data(), other.key_lanes_.data(), key_lanes_.size());
   return Status::Ok();
 }
 
@@ -537,7 +368,7 @@ Status Iblt::Add(const Iblt& other) {
     meta_[i].count += other.meta_[i].count;
     meta_[i].check ^= other.meta_[i].check;
   }
-  g_xor_lanes(key_lanes_.data(), other.key_lanes_.data(), key_lanes_.size());
+  XorLanesScalar(key_lanes_.data(), other.key_lanes_.data(), key_lanes_.size());
   return Status::Ok();
 }
 
@@ -631,14 +462,7 @@ bool Iblt::PeelInto(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
       const size_t t = CellForIndex(h.bucket, i);
       meta[t].count -= sign;
       meta[t].check ^= h.check;
-      uint64_t* dst = lanes + t * lanes_per_key_;
-      if (lanes_per_key_ >= 4) {
-        g_xor_lanes(dst, staged, lanes_per_key_);
-      } else {
-        for (size_t l = 0; l < lanes_per_key_; ++l) {
-          dst[l] ^= staged[l];
-        }
-      }
+      XorLanesScalar(lanes + t * lanes_per_key_, staged, lanes_per_key_);
       if ((meta[t].count == 1 || meta[t].count == -1) && !scratch->queued[t]) {
         scratch->queue.push_back(static_cast<uint32_t>(t));
         scratch->queued[t] = 1;
@@ -813,18 +637,14 @@ Result<Iblt> Iblt::DeserializeFixed(ByteReader* reader,
 //                     codes for occupied cells, escape list for counts
 //                     outside {-1, +1}, 8 raw check bytes per occupied
 //                     cell, group-masked key bytes per occupied cell.
-//   mode 2 (delta)  — changed-cell bitmap vs. a lineage parent of identical
-//                     config, then the same count/check/key sections for
-//                     the changed cells (new absolute values; zero allowed).
-// Every section is strictly validated; any malformed prefix yields
-// kParseError and no table. Byte-level layout: src/net/README.md.
+// Every section is strictly validated; any malformed prefix, and any other
+// mode byte, yields kParseError and no table. Byte-level layout: src/net/README.md.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr uint8_t kSparseModeRaw = 0;
 constexpr uint8_t kSparseModeBitmap = 1;
-constexpr uint8_t kSparseModeDelta = 2;
 
 // 2-bit count codes, four per byte, low crumbs first.
 constexpr uint8_t kCountPlusOne = 0;
@@ -942,8 +762,7 @@ void Iblt::EncodeCellBlock(const std::vector<uint32_t>& cells,
 }
 
 Status Iblt::DecodeCellBlock(ByteReader* reader,
-                             const std::vector<uint32_t>& cells,
-                             bool allow_zero_cells) {
+                             const std::vector<uint32_t>& cells) {
   const size_t n = cells.size();
   // Count codes.
   std::vector<uint8_t> codes(n, kCountZero);
@@ -1022,18 +841,15 @@ Status Iblt::DecodeCellBlock(ByteReader* reader,
       return ParseError("sparse IBLT truncated (check)");
     }
   }
-  // Keys (group-masked; writes every key byte, so parent values from the
-  // delta path are fully overwritten).
+  // Keys (group-masked).
   for (size_t ord = 0; ord < n; ++ord) {
     if (!GetMaskedKey(reader, config_.key_width, CellKeyBytes(cells[ord]))) {
       return ParseError("sparse IBLT truncated or malformed (key mask)");
     }
   }
-  if (!allow_zero_cells) {
-    for (size_t ord = 0; ord < n; ++ord) {
-      if (CellIsZero(cells[ord])) {
-        return ParseError("sparse IBLT: occupied cell decoded to zero");
-      }
+  for (size_t ord = 0; ord < n; ++ord) {
+    if (CellIsZero(cells[ord])) {
+      return ParseError("sparse IBLT: occupied cell decoded to zero");
     }
   }
   return Status::Ok();
@@ -1074,43 +890,15 @@ void Iblt::SerializeSparse(ByteWriter* writer) const {
   EncodeCellBlock(occupied, writer);
 }
 
-void Iblt::SerializeDelta(const Iblt& parent, ByteWriter* writer) const {
-  assert(config_ == parent.config_);
-  writer->PutU8(kSparseModeDelta);
-  std::vector<uint32_t> changed;
-  std::vector<uint8_t> bitmap((cells_ + 7) / 8, 0);
-  for (size_t i = 0; i < cells_; ++i) {
-    const bool same =
-        meta_[i].count == parent.meta_[i].count &&
-        meta_[i].check == parent.meta_[i].check &&
-        std::memcmp(CellLanes(i), parent.CellLanes(i),
-                    8 * lanes_per_key_) == 0;
-    if (!same) {
-      changed.push_back(static_cast<uint32_t>(i));
-      bitmap[i >> 3] |= static_cast<uint8_t>(1u << (i & 7));
-    }
-  }
-  // An all-zero bitmap is the whole frame: the unchanged-table marker.
-  writer->PutBytes(bitmap);
-  if (changed.empty()) return;
-  EncodeCellBlock(changed, writer);
-}
-
 Result<Iblt> Iblt::DeserializeSparse(ByteReader* reader,
-                                     const IbltConfig& config,
-                                     const TableLineage& lineage) {
+                                     const IbltConfig& config) {
   uint8_t mode = 0;
   if (!reader->GetU8(&mode)) return ParseError("sparse IBLT truncated (mode)");
   if (mode == kSparseModeRaw) return Deserialize(reader, config);
-  if (mode != kSparseModeBitmap && mode != kSparseModeDelta) {
+  if (mode != kSparseModeBitmap) {
     return ParseError("sparse IBLT: unknown frame mode");
   }
-  const bool is_delta = mode == kSparseModeDelta;
-  if (is_delta && !lineage.CoversConfig(config)) {
-    return ParseError("sparse IBLT: delta frame without matching lineage");
-  }
-  // Delta starts from a copy of the parent; sparse from an all-zero table.
-  Iblt table = is_delta ? *lineage.parent : Iblt(config);
+  Iblt table(config);
   const size_t cells = table.cells_;
   std::vector<uint8_t> bitmap;
   if (!reader->GetBytes((cells + 7) / 8, &bitmap)) {
@@ -1125,31 +913,23 @@ Result<Iblt> Iblt::DeserializeSparse(ByteReader* reader,
       marked.push_back(static_cast<uint32_t>(i));
     }
   }
-  if (is_delta && marked.empty()) return table;  // Unchanged-table marker.
-  Status status =
-      table.DecodeCellBlock(reader, marked, /*allow_zero_cells=*/is_delta);
+  Status status = table.DecodeCellBlock(reader, marked);
   if (!status.ok()) return status;
   return table;
 }
 
-void Iblt::SerializeWith(WireCodec codec, ByteWriter* writer,
-                         const TableLineage& lineage) const {
-  if (codec != WireCodec::kSparse) {
+void Iblt::SerializeWith(WireCodec codec, ByteWriter* writer) const {
+  if (codec == WireCodec::kSparse) {
+    SerializeSparse(writer);
+  } else {
     Serialize(writer);
-    return;
   }
-  if (lineage.CoversConfig(config_)) {
-    SerializeDelta(*lineage.parent, writer);
-    return;
-  }
-  SerializeSparse(writer);
 }
 
 Result<Iblt> Iblt::DeserializeWith(WireCodec codec, ByteReader* reader,
-                                   const IbltConfig& config,
-                                   const TableLineage& lineage) {
+                                   const IbltConfig& config) {
   if (codec != WireCodec::kSparse) return Deserialize(reader, config);
-  return DeserializeSparse(reader, config, lineage);
+  return DeserializeSparse(reader, config);
 }
 
 }  // namespace setrec

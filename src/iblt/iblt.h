@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "hashing/hash.h"
-#include "util/aligned.h"
 #include "util/serialization.h"
 #include "util/status.h"
 
@@ -65,27 +64,6 @@ inline constexpr size_t kShardedBatchMinKeysDefault = 1u << 16;
 ///    when the sparse form would be larger, so incompressible tables —
 ///    8-byte checksums are uniformly random — never expand.
 enum class WireCodec : uint8_t { kDense = 0, kSparse = 1 };
-
-class Iblt;
-
-/// Lightweight parent pointer for delta retransmission across the doubling
-/// protocols' attempts. When a retry re-sends a table whose config is
-/// IDENTICAL to the previous attempt's (same cells, key width, seed), the
-/// sender can ship only the cells that changed relative to that parent
-/// (Iblt::SerializeDelta) instead of the whole table. Non-owning: the
-/// caller keeps the parent table alive for the duration of the encode or
-/// decode call; nothing retains the pointer afterwards.
-struct TableLineage {
-  const Iblt* parent = nullptr;
-
-  /// True when a delta against `parent` can represent a table of `config`:
-  /// a parent exists and its config matches exactly. Both protocol halves
-  /// evaluate this from their own retained previous-attempt table, so the
-  /// decision needs no wire flag — but the frame is still self-describing
-  /// (delta frames carry their own mode byte), so a sender without lineage
-  /// may fall back to a full sparse frame and the receiver still parses it.
-  bool CoversConfig(const IbltConfig& config) const;  // defined after Iblt
-};
 
 /// Runtime tuning for batched cell updates (InsertBatch/EraseBatch and the
 /// multi-table Iblt::ApplyOps pass). A process-wide default is held by
@@ -245,15 +223,10 @@ struct IbltCellMeta {
 /// pattern used by the outer/child decodes of the set-of-sets protocols).
 struct DecodeScratch {
   std::vector<IbltCellMeta> meta;
-  /// The scratch lane arenas are cache-line aligned (util/aligned.h): a
-  /// scratch is allocated once and reused across decodes, so the aligned
-  /// allocation is amortized to zero while whole-arena SIMD passes start
-  /// on a cache line. (Per-TABLE arenas stay plain vectors — see
-  /// Iblt::key_lanes_ for why.)
-  AlignedLaneVector key_lanes;
+  std::vector<uint64_t> key_lanes;  // Working copy of the table's lanes.
   std::vector<uint32_t> queue;   // Pure-cell FIFO (ring over a vector).
   std::vector<uint8_t> queued;   // Per-cell in-queue flag (dedup).
-  AlignedLaneVector out_lanes;        // Decoded-key arena (lane-padded).
+  std::vector<uint64_t> out_lanes;    // Decoded-key arena (lane-padded).
   std::vector<size_t> pos_offsets;    // Lane offset of each positive key.
   std::vector<size_t> neg_offsets;    // Lane offset of each negative key.
   std::vector<IbltKeyView> pos_views;  // Built over out_lanes post-peel.
@@ -385,39 +358,26 @@ class Iblt {
   /// (SsrParams::wire_codec, negotiated by the src/net hello frame) and
   /// every table of the session uses it; a decoder never sniffs. Within
   /// kSparse, each frame is self-describing via its mode byte (raw-dense
-  /// fallback, sparse body, or delta), so mode varies per table while the
-  /// codec does not. Like the decode-view lifetime rule above, nothing here
-  /// outlives the call: encode and decode work on complete in-memory tables
-  /// and borrow `lineage.parent` only for the duration of the call.
+  /// fallback or sparse body), so mode varies per table while the codec
+  /// does not. Encode and decode work on one complete in-memory table and
+  /// keep nothing after the call.
   void SerializeSparse(ByteWriter* writer) const;
-  /// Parses a kSparse frame (any mode). Fails closed — kParseError, never a
-  /// partially-initialized table — on every malformed prefix: truncated or
-  /// over-long occupancy bitmap, occupancy bits past the last cell, corrupt
-  /// packed-count crumbs, escape-list index out of range or out of order,
-  /// non-canonical escape values, payload lengths past the end of input,
-  /// cells marked occupied that decode to all-zero, and delta frames when
-  /// `lineage` cannot cover `config`.
+  /// Parses a kSparse frame (mode 0 or 1). Fails closed — kParseError,
+  /// never a partially-initialized table — on every malformed prefix:
+  /// unknown mode byte, truncated or over-long occupancy bitmap, occupancy
+  /// bits past the last cell, corrupt packed-count crumbs, escape-list
+  /// index out of range or out of order, non-canonical escape values,
+  /// payload lengths past the end of input, and cells marked occupied that
+  /// decode to all-zero.
   [[nodiscard]] static Result<Iblt> DeserializeSparse(ByteReader* reader,
-                                        const IbltConfig& config,
-                                        const TableLineage& lineage = {});
-
-  /// Delta retransmission frame: only the cells that differ from
-  /// `parent` (same config required — see TableLineage::CoversConfig),
-  /// as a changed-cell bitmap plus sparse payloads of the new absolute
-  /// cell values. An all-zero bitmap is the unchanged-table marker: four
-  /// bytes on the wire for a verbatim retransmission. Only meaningful
-  /// under WireCodec::kSparse; DeserializeSparse parses it when given the
-  /// same lineage.
-  void SerializeDelta(const Iblt& parent, ByteWriter* writer) const;
+                                        const IbltConfig& config);
 
   /// Dispatch helpers: the codec-generic entry points protocols call.
-  /// kDense → Serialize/Deserialize, kSparse → SerializeSparse (with an
-  /// optional lineage for delta frames) / DeserializeSparse.
-  void SerializeWith(WireCodec codec, ByteWriter* writer,
-                     const TableLineage& lineage = {}) const;
+  /// kDense → Serialize/Deserialize, kSparse → SerializeSparse /
+  /// DeserializeSparse.
+  void SerializeWith(WireCodec codec, ByteWriter* writer) const;
   [[nodiscard]] static Result<Iblt> DeserializeWith(WireCodec codec, ByteReader* reader,
-                                      const IbltConfig& config,
-                                      const TableLineage& lineage = {});
+                                      const IbltConfig& config);
 
   /// Fixed-width serialization: every table with the same config produces
   /// the same number of bytes, so serialized tables can themselves be used
@@ -481,14 +441,6 @@ class Iblt {
   /// can be exercised deterministically on any machine.
   static int sharded_workers_for_test;
 
-  /// The wide-key lane-XOR backend the runtime dispatch selected
-  /// ("avx512", "avx2" or "scalar"). Key XOR is bit-identical across
-  /// backends; only the instruction width differs.
-  static const char* LaneXorBackend();
-  /// Test/bench hook: forces the scalar backend (measuring the SIMD delta
-  /// on one machine). Not synchronized: flip before spawning threads.
-  static void ForceScalarLaneXorForTest(bool force);
-
  private:
   void Update(const uint8_t* key, int32_t delta);
   KeyHashes HashKey(const uint8_t* key) const;
@@ -498,15 +450,13 @@ class Iblt {
   size_t CellForIndex(uint64_t bucket_hash, int index) const;
   bool CellIsZero(size_t cell) const;
 
-  /// Shared sparse-codec sections (counts + checks + masked keys for a
-  /// list of cell indices), used by both the full sparse frame and the
-  /// delta frame. `allow_zero_cells` is set on the delta path, where a
-  /// changed cell may legitimately become all-zero.
+  /// The sparse frame's cell sections (counts + checks + masked keys for
+  /// the occupied cells, in index order). Decoding rejects a listed cell
+  /// that comes out all-zero.
   void EncodeCellBlock(const std::vector<uint32_t>& cells,
                        ByteWriter* writer) const;
   Status DecodeCellBlock(ByteReader* reader,
-                         const std::vector<uint32_t>& cells,
-                         bool allow_zero_cells);
+                         const std::vector<uint32_t>& cells);
   /// Exact byte count Serialize() would emit (the sparse encoder's
   /// fallback threshold).
   size_t DenseSerializedSize() const;
@@ -557,19 +507,11 @@ class Iblt {
   /// cells_ * lanes_per_key_ words. Deliberately a PLAIN vector: tables
   /// are allocated per session in the hot path and over-aligned operator
   /// new bypasses the allocator's fast bins (measured ~25% service-level
-  /// regression when this arena was 64-byte aligned). Per-cell starts are
-  /// only 8-aligned regardless (lanes_per_key_ is arbitrary), so the SIMD
-  /// XOR paths use unaligned loads either way; the cache-line-aligned
-  /// arenas live in DecodeScratch, whose vectors are allocated once and
-  /// reused.
+  /// regression when this arena was 64-byte aligned).
   std::vector<uint64_t> key_lanes_;
   HashFamily bucket_family_;
   HashFamily check_family_;
 };
-
-inline bool TableLineage::CoversConfig(const IbltConfig& config) const {
-  return parent != nullptr && parent->config() == config;
-}
 
 }  // namespace setrec
 

@@ -96,7 +96,7 @@ struct NetPumpStats {
 ///
 /// Readiness comes through the Poller interface (epoll by default — cost
 /// O(ready fds), so 10k idle connections are free; poll(2) as the portable
-/// fallback; io_uring opt-in). Per-pass work is proportional to touched
+/// fallback). Per-pass work is proportional to touched
 /// connections (fd events + live sessions + fired timers), never to the
 /// total connection count. Connection lifecycle is timer-driven: a hashed
 /// timer wheel reaps handshake stragglers and idle sessions and paces

@@ -13,8 +13,6 @@ const char* PollerKindName(PollerKind kind) {
       return "poll";
     case PollerKind::kEpoll:
       return "epoll";
-    case PollerKind::kUring:
-      return "io_uring";
   }
   return "unknown";
 }
@@ -23,9 +21,8 @@ Result<PollerKind> ParsePollerKind(std::string_view name) {
   if (name == "auto") return PollerKind::kAuto;
   if (name == "poll") return PollerKind::kPoll;
   if (name == "epoll") return PollerKind::kEpoll;
-  if (name == "io_uring" || name == "uring") return PollerKind::kUring;
   return InvalidArgument("unknown poller backend: " + std::string(name) +
-                         " (want auto|poll|epoll|io_uring)");
+                         " (want auto|poll|epoll)");
 }
 
 bool PollerBackendAvailable(PollerKind kind) {
@@ -37,10 +34,6 @@ bool PollerBackendAvailable(PollerKind kind) {
       // Construction is the probe; cached so tests and MakePoller can ask
       // repeatedly without burning fds.
       static const bool available = internal::MakeEpollPoller() != nullptr;
-      return available;
-    }
-    case PollerKind::kUring: {
-      static const bool available = internal::MakeUringPoller() != nullptr;
       return available;
     }
   }
@@ -63,12 +56,7 @@ PollerKind EnvSteer() {
 
 std::unique_ptr<Poller> MakePoller(PollerKind requested) {
   if (requested == PollerKind::kAuto) requested = EnvSteer();
-  // Degradation chain: io_uring (opt-in) -> epoll (Linux default) ->
-  // poll (always works). kAuto lands on epoll: io_uring is explicit
-  // opt-in via --poller=/SETREC_POLLER until it has equal mileage.
-  if (requested == PollerKind::kUring) {
-    if (auto poller = internal::MakeUringPoller()) return poller;
-  }
+  // Degradation chain: epoll (Linux default) -> poll (always works).
   if (requested != PollerKind::kPoll) {
     if (auto poller = internal::MakeEpollPoller()) return poller;
   }

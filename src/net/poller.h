@@ -14,12 +14,11 @@ namespace setrec {
 /// Which readiness backend a Poller runs on. kAuto resolves at
 /// construction: SETREC_POLLER if set (how the ctest `net` label runs
 /// every suite once per backend without recompiling), else epoll on
-/// Linux, else poll. io_uring is explicit opt-in via flag or env.
+/// Linux, else poll.
 enum class PollerKind : uint8_t {
   kAuto = 0,
   kPoll = 1,   ///< Portable ::poll(2): O(watched fds) per wakeup.
   kEpoll = 2,  ///< Linux epoll, level-triggered: O(ready fds) per wakeup.
-  kUring = 3,  ///< Linux io_uring POLL_ADD (raw syscalls, no liburing).
 };
 
 /// One readiness report. `token` is the caller's opaque registration tag
@@ -45,7 +44,7 @@ struct PollerEvent {
 ///    valid: the fd stays registered but reports nothing (the pump parks
 ///    backpressured connections this way).
 ///  * Remove unregisters; the caller closes the fd itself, always AFTER
-///    Remove (io_uring holds per-fd kernel state keyed on the fd number).
+///    Remove.
 ///  * Wait blocks up to timeout_ms (-1 = forever, 0 = poll-and-return) and
 ///    appends ready events to `out` (which the caller clears); it returns
 ///    the number appended. Hangup-only events are reported even when the
@@ -68,32 +67,29 @@ class Poller {
                               std::vector<PollerEvent>* out) = 0;
 };
 
-/// Stable lowercase backend name ("poll", "epoll", "io_uring"); kAuto maps
+/// Stable lowercase backend name ("poll", "epoll"); kAuto maps
 /// to "auto". Used in flags, STAT? exposition, and BENCH_service.json.
 const char* PollerKindName(PollerKind kind);
 
 /// Parses a backend name as accepted by --poller= and SETREC_POLLER
-/// ("auto", "poll", "epoll", "io_uring" or "uring").
+/// ("auto", "poll" or "epoll").
 Result<PollerKind> ParsePollerKind(std::string_view name);
 
-/// True if `kind` can actually run here (epoll: Linux build; io_uring:
-/// kernel accepts io_uring_setup — probed once and cached). kAuto and
-/// kPoll are always available.
+/// True if `kind` can actually run here (epoll: Linux build, probed once
+/// and cached). kAuto and kPoll are always available.
 bool PollerBackendAvailable(PollerKind kind);
 
 /// Builds the backend for `requested`. kAuto consults SETREC_POLLER, then
-/// defaults to epoll (io_uring stays explicit opt-in via flag/env). An
-/// unavailable request degrades io_uring -> epoll -> poll rather than
+/// defaults to epoll. An unavailable epoll degrades to poll rather than
 /// failing: the caller reads the achieved backend from kind(). Never
 /// returns null.
 std::unique_ptr<Poller> MakePoller(PollerKind requested);
 
 namespace internal {
 /// Backend constructors, exposed for MakePoller and the backend-matrix
-/// tests. The uring factory returns null when the kernel refuses.
+/// tests. The epoll factory returns null when the kernel refuses.
 std::unique_ptr<Poller> MakePollPoller();
 std::unique_ptr<Poller> MakeEpollPoller();
-std::unique_ptr<Poller> MakeUringPoller();
 }  // namespace internal
 
 }  // namespace setrec

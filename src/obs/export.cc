@@ -133,13 +133,12 @@ void AppendPumpMetrics(const PumpMetrics& pm, ExpositionWriter& w) {
   w.Counter("setrec_pump_idle_timeouts", "", pm.idle_timeouts);
   w.Counter("setrec_pump_admissions_rejected", "", pm.admissions_rejected);
   // One labeled gauge per backend the merged pumps ran on ("poll",
-  // "epoll", "io_uring") — new NAMES of an existing line type, so this
-  // stays within the v2 exposition contract.
+  // "epoll") — new NAMES of an existing line type, so this stays within
+  // the v2 exposition contract.
   // Bit positions follow PollerKind (net/poller.h); names are duplicated
   // here so obs stays below net in the layering.
-  static constexpr const char* kBackendNames[] = {nullptr, "poll", "epoll",
-                                                  "io_uring"};
-  for (uint32_t kind = 1; kind <= 3; ++kind) {
+  static constexpr const char* kBackendNames[] = {nullptr, "poll", "epoll"};
+  for (uint32_t kind = 1; kind <= 2; ++kind) {
     if ((pm.poller_backends & (1u << kind)) == 0) continue;
     std::string labels = "backend=\"";
     labels += kBackendNames[kind];

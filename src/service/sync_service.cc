@@ -154,26 +154,22 @@ class SyncService::SessionContext final : public ProtocolContext {
   }
 
   Result<Iblt> ParseTableMemo(uint64_t key, ByteReader* reader,
-                              const IbltConfig& config, WireCodec codec,
-                              const TableLineage& lineage) override {
-    if (key == 0) {
-      return Iblt::DeserializeWith(codec, reader, config, lineage);
-    }
+                              const IbltConfig& config,
+                              WireCodec codec) override {
+    if (key == 0) return Iblt::DeserializeWith(codec, reader, config);
     if (const SharedServiceCache::TableMemoEntry* memo =
             service_->cache_->FindTableMemo(key)) {
       // Replayed message: identical bytes, so skipping the recorded length
       // lands the reader exactly where a re-parse would. The entry is
       // immutable; the bulk copy happens outside the cache's stripe lock.
-      // Codec-safe: the cache key encodes the wire codec, and the memoized
-      // table is the fully-applied parse result (delta frames included).
+      // Codec-safe: the cache key encodes the wire codec.
       if (!reader->Skip(memo->consumed)) {
         return ParseError("memoized table: skip overran message");
       }
       return memo->table;
     }
     const size_t before = reader->remaining();
-    Result<Iblt> parsed =
-        Iblt::DeserializeWith(codec, reader, config, lineage);
+    Result<Iblt> parsed = Iblt::DeserializeWith(codec, reader, config);
     if (parsed.ok()) {
       service_->cache_->StoreTableMemo(key, parsed.value(),
                                        before - reader->remaining());

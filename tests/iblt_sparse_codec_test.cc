@@ -2,16 +2,14 @@
 // and compare cell-for-cell against the in-memory table (via the fixed
 // serialization, which lists every cell) for randomized tables across the
 // shapes the protocols actually send — empty, singleton, lightly loaded,
-// saturated, and wide blob keys. Also covers delta frames against a
-// lineage parent, the SerializeWith/DeserializeWith codec dispatch, and
-// scalar/SIMD lane-XOR backend equivalence.
+// saturated, and wide blob keys. Also covers the SerializeWith /
+// DeserializeWith codec dispatch.
 //
 // Runs under the `fast` ctest label, so the asan preset exercises every
 // decode path with sanitizers on.
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "hashing/random.h"
@@ -104,126 +102,30 @@ TEST(IbltSparseCodecTest, EmptyAndSingletonTables) {
   EXPECT_LT(sparse.bytes().size(), dense.bytes().size() / 2);
 }
 
-TEST(IbltSparseCodecTest, DeltaRoundTripAgainstLineageParent) {
-  Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    IbltConfig config;
-    config.cells = 16 + rng.NextU64() % 100;
-    config.num_hashes = 4;
-    config.key_width = 8 + 8 * (rng.NextU64() % 5);
-    config.seed = rng.NextU64();
-    Iblt parent(config);
-    for (size_t i = 0; i < config.cells / 2; ++i) {
-      parent.Insert(RandomKey(config.key_width, &rng));
-    }
-    // The doubling protocols' shape: the retry table is the parent plus a
-    // few set changes (and some removals that zero cells back out).
-    Iblt child = parent;
-    const size_t edits = 1 + rng.NextU64() % 8;
-    for (size_t i = 0; i < edits; ++i) {
-      std::vector<uint8_t> key = RandomKey(config.key_width, &rng);
-      if (rng.NextU64() % 2) {
-        child.Insert(key);
-      } else {
-        child.Erase(key);
-      }
-    }
-
-    ByteWriter writer;
-    child.SerializeDelta(parent, &writer);
-    ByteReader reader(writer.bytes());
-    Result<Iblt> restored =
-        Iblt::DeserializeSparse(&reader, config, TableLineage{&parent});
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_TRUE(reader.empty());
-    ASSERT_EQ(FixedBytes(restored.value()), FixedBytes(child))
-        << "trial=" << trial;
-  }
-}
-
-TEST(IbltSparseCodecTest, UnchangedTableDeltaIsJustTheBitmap) {
-  IbltConfig config = IbltConfig::ForDifference(32, 13, /*key_width=*/16);
-  Iblt table(config);
-  Rng rng(13);
-  for (int i = 0; i < 32; ++i) table.Insert(RandomKey(16, &rng));
-
-  ByteWriter writer;
-  table.SerializeDelta(table, &writer);
-  // Mode byte + all-zero changed-cell bitmap, nothing else.
-  EXPECT_EQ(writer.bytes().size(), 1 + (config.PaddedCells() + 7) / 8);
-  ByteReader reader(writer.bytes());
-  Result<Iblt> restored =
-      Iblt::DeserializeSparse(&reader, config, TableLineage{&table});
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(reader.empty());
-  EXPECT_EQ(FixedBytes(restored.value()), FixedBytes(table));
-}
-
-TEST(IbltSparseCodecTest, SerializeWithDispatchesOnCodecAndLineage) {
+TEST(IbltSparseCodecTest, SerializeWithDispatchesOnCodec) {
   IbltConfig config = IbltConfig::ForDifference(16, 21, /*key_width=*/8);
-  Iblt parent(config), child(config);
+  Iblt table(config);
   Rng rng(21);
-  for (int i = 0; i < 10; ++i) parent.Insert(RandomKey(8, &rng));
-  child = parent;
-  child.Insert(RandomKey(8, &rng));
+  for (int i = 0; i < 11; ++i) table.Insert(RandomKey(8, &rng));
 
-  // kDense ignores lineage and emits the legacy stream byte for byte.
+  // kDense emits the legacy stream byte for byte.
   ByteWriter legacy, dense;
-  child.Serialize(&legacy);
-  child.SerializeWith(WireCodec::kDense, &dense, TableLineage{&parent});
+  table.Serialize(&legacy);
+  table.SerializeWith(WireCodec::kDense, &dense);
   EXPECT_EQ(dense.bytes(), legacy.bytes());
 
-  // kSparse without covering lineage emits a full sparse/raw frame...
-  ByteWriter sparse;
-  child.SerializeWith(WireCodec::kSparse, &sparse);
-  ASSERT_FALSE(sparse.bytes().empty());
-  EXPECT_NE(sparse.bytes()[0], 2);
-
-  // ...and with covering lineage, a delta frame the other half decodes via
-  // the same dispatch.
-  ByteWriter delta;
-  child.SerializeWith(WireCodec::kSparse, &delta, TableLineage{&parent});
-  ASSERT_FALSE(delta.bytes().empty());
-  EXPECT_EQ(delta.bytes()[0], 2);
-  EXPECT_LT(delta.bytes().size(), sparse.bytes().size());
-  ByteReader reader(delta.bytes());
-  Result<Iblt> restored = Iblt::DeserializeWith(
-      WireCodec::kSparse, &reader, config, TableLineage{&parent});
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(FixedBytes(restored.value()), FixedBytes(child));
-
-  // A config mismatch on the sender side falls back to a non-delta frame
-  // rather than emitting an undecodable delta.
-  IbltConfig grown = config;
-  grown.cells *= 2;
-  Iblt regrown(grown);
-  regrown.Insert(RandomKey(8, &rng));
-  ByteWriter fallback;
-  regrown.SerializeWith(WireCodec::kSparse, &fallback, TableLineage{&parent});
-  ASSERT_FALSE(fallback.bytes().empty());
-  EXPECT_NE(fallback.bytes()[0], 2);
-}
-
-TEST(IbltSparseCodecTest, ScalarAndSimdBackendsBuildIdenticalTables) {
-  // The codec reads key lanes the XOR backends wrote; whatever backend the
-  // dispatcher picked (avx512 > avx2 > scalar) must produce tables — and
-  // therefore frames — identical to forced-scalar.
-  auto build = [] {
-    IbltConfig config = IbltConfig::ForDifference(64, 31, /*key_width=*/36);
-    Iblt table(config);
-    Rng rng(31);
-    for (int i = 0; i < 64; ++i) table.Insert(RandomKey(36, &rng));
-    for (int i = 0; i < 32; ++i) table.Erase(RandomKey(36, &rng));
-    ByteWriter writer;
-    table.SerializeSparse(&writer);
-    return writer.bytes();
-  };
-  std::vector<uint8_t> dispatched = build();
-  Iblt::ForceScalarLaneXorForTest(true);
-  EXPECT_STREQ(Iblt::LaneXorBackend(), "scalar");
-  std::vector<uint8_t> scalar = build();
-  Iblt::ForceScalarLaneXorForTest(false);
-  EXPECT_EQ(dispatched, scalar);
+  // kSparse emits exactly the sparse frame, which the other half decodes
+  // via the same dispatch.
+  ByteWriter direct, sparse;
+  table.SerializeSparse(&direct);
+  table.SerializeWith(WireCodec::kSparse, &sparse);
+  EXPECT_EQ(sparse.bytes(), direct.bytes());
+  ByteReader reader(sparse.bytes());
+  Result<Iblt> restored =
+      Iblt::DeserializeWith(WireCodec::kSparse, &reader, config);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(reader.empty());
+  EXPECT_EQ(FixedBytes(restored.value()), FixedBytes(table));
 }
 
 }  // namespace

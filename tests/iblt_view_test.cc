@@ -465,50 +465,17 @@ TEST(IbltSparseAdversarialTest, OccupiedCellDecodingToZeroRejected) {
 }
 
 TEST(IbltSparseAdversarialTest, UnknownModeByteRejected) {
+  // Only modes 0 (raw) and 1 (sparse) exist. Mode 2 was the retired delta
+  // frame: a peer still sending it must fail closed like any other mode.
   SparseFrameFixture fx(4, 606);
-  std::vector<uint8_t> frame = fx.bytes;
-  frame[0] = 3;
-  Result<Iblt> restored = fx.Decode(frame);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
-}
-
-TEST(IbltSparseAdversarialTest, DeltaFrameWithoutLineageRejected) {
-  // A delta frame can only be applied against a retained parent of the
-  // same config; without one the decoder must refuse rather than guess.
-  IbltConfig config = IbltConfig::ForDifference(4, 77, /*key_width=*/8);
-  Iblt parent(config);
-  Rng rng(77);
-  parent.Insert(RandomKey(8, &rng));
-  Iblt child = parent;
-  child.Insert(RandomKey(8, &rng));
-  ByteWriter writer;
-  child.SerializeDelta(parent, &writer);
-
-  ByteReader no_lineage(writer.bytes());
-  Result<Iblt> restored = Iblt::DeserializeSparse(&no_lineage, config);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
-
-  // Lineage of a DIFFERENT config is just as invalid.
-  IbltConfig other = config;
-  other.seed ^= 1;
-  Iblt other_parent(other);
-  ByteReader wrong_lineage(writer.bytes());
-  restored = Iblt::DeserializeSparse(&wrong_lineage, config,
-                                     TableLineage{&other_parent});
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
-
-  // With the real parent the same frame round-trips.
-  ByteReader good(writer.bytes());
-  Result<Iblt> applied =
-      Iblt::DeserializeSparse(&good, config, TableLineage{&parent});
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  ByteWriter a, b;
-  applied.value().SerializeFixed(&a);
-  child.SerializeFixed(&b);
-  EXPECT_EQ(a.bytes(), b.bytes());
+  for (uint8_t mode : {uint8_t{2}, uint8_t{3}, uint8_t{255}}) {
+    std::vector<uint8_t> frame = fx.bytes;
+    frame[0] = mode;
+    Result<Iblt> restored = fx.Decode(frame);
+    ASSERT_FALSE(restored.ok()) << "mode=" << int{mode};
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
+        << "mode=" << int{mode};
+  }
 }
 
 TEST(IbltAdversarialTest, CorruptCountVarintRejected) {

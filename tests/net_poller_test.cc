@@ -1,8 +1,8 @@
 // Poller backend matrix + timer-driven connection lifecycle + admission:
 //
-//  * Every available backend (poll always; epoll on Linux; io_uring when
-//    the kernel grants a ring) passes one shared semantics suite —
-//    registration, readiness, interest-0 parking, retargeting, hangup.
+//  * Every available backend (poll always; epoll on Linux) passes one
+//    shared semantics suite — registration, readiness, interest-0
+//    parking, retargeting, hangup.
 //  * A NetPump reaps a half-open connection that never completes its hello
 //    (handshake timeout) and an established session gone byte-silent
 //    (idle timeout), with the reap visible in stats AND pump metrics.
@@ -47,8 +47,6 @@ std::unique_ptr<Poller> MakeBackend(PollerKind kind) {
       return internal::MakePollPoller();
     case PollerKind::kEpoll:
       return internal::MakeEpollPoller();
-    case PollerKind::kUring:
-      return internal::MakeUringPoller();
     default:
       return nullptr;
   }
@@ -130,8 +128,7 @@ TEST_P(PollerBackend, ReadinessContract) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, PollerBackend,
                          ::testing::Values(PollerKind::kPoll,
-                                           PollerKind::kEpoll,
-                                           PollerKind::kUring),
+                                           PollerKind::kEpoll),
                          [](const ::testing::TestParamInfo<PollerKind>&
                                 param_info) {
                            return std::string(
@@ -143,17 +140,13 @@ TEST(PollerFactory, ExplicitRequestAndDegradation) {
   std::unique_ptr<Poller> poll = MakePoller(PollerKind::kPoll);
   ASSERT_NE(poll, nullptr);
   EXPECT_EQ(poll->kind(), PollerKind::kPoll);
-  // An explicit request for an available backend is honored; an
-  // unavailable one degrades (never null).
-  for (PollerKind kind : {PollerKind::kEpoll, PollerKind::kUring}) {
-    std::unique_ptr<Poller> poller = MakePoller(kind);
-    ASSERT_NE(poller, nullptr);
-    if (PollerBackendAvailable(kind)) {
-      EXPECT_EQ(poller->kind(), kind);
-    } else {
-      EXPECT_NE(poller->kind(), kind);
-    }
-  }
+  // An explicit epoll request is honored where epoll exists; elsewhere it
+  // degrades to poll (never null).
+  std::unique_ptr<Poller> epoll = MakePoller(PollerKind::kEpoll);
+  ASSERT_NE(epoll, nullptr);
+  EXPECT_EQ(epoll->kind(), PollerBackendAvailable(PollerKind::kEpoll)
+                               ? PollerKind::kEpoll
+                               : PollerKind::kPoll);
 }
 
 TEST(PollerFactory, AutoHonorsEnvSteer) {
@@ -173,16 +166,18 @@ TEST(PollerFactory, AutoHonorsEnvSteer) {
 }
 
 TEST(PollerFactory, NamesRoundTrip) {
-  for (PollerKind kind : {PollerKind::kAuto, PollerKind::kPoll,
-                          PollerKind::kEpoll, PollerKind::kUring}) {
+  for (PollerKind kind :
+       {PollerKind::kAuto, PollerKind::kPoll, PollerKind::kEpoll}) {
     Result<PollerKind> parsed = ParsePollerKind(PollerKindName(kind));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), kind);
   }
-  Result<PollerKind> alias = ParsePollerKind("uring");
-  ASSERT_TRUE(alias.ok());
-  EXPECT_EQ(alias.value(), PollerKind::kUring);
-  EXPECT_FALSE(ParsePollerKind("kqueue").ok());
+  // Unknown names, including the retired io_uring spellings, are rejected.
+  for (const char* name : {"io_uring", "uring", "kqueue"}) {
+    Result<PollerKind> parsed = ParsePollerKind(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
