@@ -9,7 +9,6 @@
 #include "hashing/random.h"
 #include "iblt/iblt.h"
 #include "setrec/multiset_codec.h"
-#include "setrec/set_reconciler.h"
 #include "util/serialization.h"
 
 namespace setrec {
@@ -119,16 +118,11 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
     const ChildEncoding& enc = enc_r.value();
     bool paired = false;
     for (const auto& [partner_enc, partner_set] : partners) {
-      Iblt diff = enc.sketch;
-      if (!diff.Subtract(partner_enc.sketch).ok()) continue;
-      Result<IbltDecodeResult64> dd = diff.DecodeU64(&child_scratch);
-      if (!dd.ok()) continue;
-      SetDifference sd;
-      sd.remote_only = std::move(dd.value().positive);
-      sd.local_only = std::move(dd.value().negative);
-      ChildSet candidate = ApplyDifference(*partner_set, sd);
-      if (ChildFingerprint(candidate, fp_family) == enc.fingerprint) {
-        recovered_children.push_back(std::move(candidate));
+      Result<ChildSet> child = RecoverChild(enc, partner_enc.sketch,
+                                            *partner_set, fp_family,
+                                            &child_scratch);
+      if (child.ok()) {
+        recovered_children.push_back(std::move(child).value());
         recovered_kinds.push_back(DocumentMatch::Kind::kNear);
         paired = true;
         break;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <unordered_set>
 
@@ -11,7 +12,6 @@
 #include "core/split_party.h"
 #include "hashing/random.h"
 #include "iblt/iblt.h"
-#include "setrec/set_reconciler.h"
 #include "util/serialization.h"
 
 namespace setrec {
@@ -102,23 +102,6 @@ CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed) {
   return plan;
 }
 
-/// Builds one side's child sketches for a level through the deferred
-/// planner pass: one tiny batch per child, coalesced across children (and,
-/// under the service, across sessions). `sketches` is emptied and refilled.
-Task<Status> BuildLevelSketches(const SetOfSets& children,
-                                const IbltConfig& child_config,
-                                ProtocolContext* ctx,
-                                std::vector<Iblt>* sketches) {
-  sketches->clear();
-  sketches->reserve(children.size());
-  for (const ChildSet& child : children) {
-    sketches->emplace_back(child_config);
-    ctx->QueueInsertU64(&sketches->back(), child.data(), child.size());
-  }
-  co_await ctx->FlushBuilds();
-  co_return Status::Ok();
-}
-
 }  // namespace
 
 Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
@@ -131,10 +114,10 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
   const CascadePlan plan = MakePlan(h, d, d_hat, seed);
 
   // Every child encoded into every level (and T*). One message, memoized
-  // across sessions sharing Alice's set; per-level child sketches and
-  // outer-table updates run through the deferred planner passes. The wire
-  // codec is part of the key (dense/sparse sessions must not replay each
-  // other's bytes).
+  // across sessions sharing Alice's set. Each level's child encodings are
+  // written in place into one packed buffer; only the outer-table updates
+  // run through the deferred planner passes. The wire codec is part of the
+  // key (dense/sparse sessions must not replay each other's bytes).
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
       {kAttemptTag, d, d_hat, seed, h,
@@ -145,27 +128,27 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
     for (size_t i = 0; i < alice.size(); ++i) {
       fps[i] = ChildFingerprint(alice[i], fp_family);
     }
-    std::vector<Iblt> sketches;
+    std::vector<uint8_t> packed;
     for (size_t level = 0; level < plan.t; ++level) {
-      Status s = co_await BuildLevelSketches(alice, plan.child_configs[level],
-                                             ctx, &sketches);
-      if (!s.ok()) co_return s;
-      ByteWriter packed;
+      const size_t blob_width = plan.outer_configs[level].key_width;
+      packed.resize(alice.size() * blob_width);
       for (size_t i = 0; i < alice.size(); ++i) {
-        AppendChildIbltBlob(sketches[i], fps[i], &packed);
+        WriteChildIbltBlob(alice[i], plan.child_configs[level], fps[i],
+                           packed.data() + i * blob_width);
       }
       Iblt outer(plan.outer_configs[level]);
-      ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
+      ctx->QueueInsertBytes(&outer, packed.data(), alice.size());
       co_await ctx->FlushBuilds();
       outer.SerializeWith(params_.wire_codec, writer);
     }
     if (plan.has_star) {
-      ByteWriter packed;
-      for (const ChildSet& child : alice) {
-        packed.PutBytes(EncodeChildBlob(child, h));
+      const size_t blob_width = plan.star_config.key_width;
+      packed.resize(alice.size() * blob_width);
+      for (size_t i = 0; i < alice.size(); ++i) {
+        WriteChildBlob(alice[i], h, packed.data() + i * blob_width);
       }
       Iblt star(plan.star_config);
-      ctx->QueueInsertBytes(&star, packed.bytes().data(), alice.size());
+      ctx->QueueInsertBytes(&star, packed.data(), alice.size());
       co_await ctx->FlushBuilds();
       star.SerializeWith(params_.wire_codec, writer);
     }
@@ -231,54 +214,45 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   // decode and the last view use; across levels the table is re-decoded.
   DecodeScratch* outer_scratch = ctx->Scratch(0);
   DecodeScratch* child_scratch = ctx->Scratch(1);
-  std::vector<Iblt> bob_sketches;
-  std::vector<Iblt> da_sketches;
+  std::vector<uint8_t> bob_packed;
+  std::vector<uint8_t> erase_packed;
 
   for (size_t level = 0; level < plan.t; ++level) {
     const IbltConfig& child_config = plan.child_configs[level];
     const size_t blob_width = plan.outer_configs[level].key_width;
     Iblt& outer = outer_tables[level];
 
-    // Bob's level-i encodings (all children, for the blob map) and the
-    // recovered-children encodings, built through deferred sketch passes.
-    if (Status s = co_await BuildLevelSketches(bob, child_config, ctx,
-                                               &bob_sketches);
-        !s.ok()) {
-      co_return s;
-    }
-    if (Status s = co_await BuildLevelSketches(da, child_config, ctx,
-                                               &da_sketches);
-        !s.ok()) {
-      co_return s;
-    }
-    ByteWriter bob_packed;
+    // Bob's level-i encodings (all children, for the blob map), written in
+    // place. Delete Bob's children not yet known to differ (level 1: all of
+    // them), and every already-recovered child of Alice's.
+    bob_packed.resize(bob.size() * blob_width);
     for (size_t j = 0; j < bob.size(); ++j) {
-      AppendChildIbltBlob(bob_sketches[j], bob_fps[j], &bob_packed);
+      WriteChildIbltBlob(bob[j], child_config, bob_fps[j],
+                         bob_packed.data() + j * blob_width);
     }
-    // Delete Bob's children not yet known to differ (level 1: all of them),
-    // and every already-recovered child of Alice's.
-    ByteWriter erase_packed;
-    size_t erase_count = 0;
+    const size_t erase_count =
+        static_cast<size_t>(std::count(in_db.begin(), in_db.end(), false)) +
+        da.size();
+    erase_packed.resize(erase_count * blob_width);
+    uint8_t* erase_out = erase_packed.data();
     for (size_t j = 0; j < bob.size(); ++j) {
       if (!in_db[j]) {
-        erase_packed.PutBytes(bob_packed.bytes().data() + j * blob_width,
-                              blob_width);
-        ++erase_count;
+        std::memcpy(erase_out, bob_packed.data() + j * blob_width, blob_width);
+        erase_out += blob_width;
       }
     }
-    for (size_t i = 0; i < da.size(); ++i) {
-      AppendChildIbltBlob(da_sketches[i],
-                          ChildFingerprint(da[i], fp_family), &erase_packed);
-      ++erase_count;
+    for (const ChildSet& child : da) {
+      WriteChildIbltBlob(child, child_config,
+                         ChildFingerprint(child, fp_family), erase_out);
+      erase_out += blob_width;
     }
-    ctx->QueueEraseBytes(&outer, erase_packed.bytes().data(), erase_count);
+    ctx->QueueEraseBytes(&outer, erase_packed.data(), erase_count);
     co_await ctx->FlushBuilds();
 
     std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
     for (size_t j = 0; j < bob.size(); ++j) {
       blob_to_child.emplace(
-          IbltKeyView{bob_packed.bytes().data() + j * blob_width, blob_width},
-          j);
+          IbltKeyView{bob_packed.data() + j * blob_width, blob_width}, j);
     }
 
     IbltPartialDecodeView decoded = outer.DecodePartial(outer_scratch);
@@ -290,31 +264,31 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       // Unknown negatives are decode noise; later verification catches it.
     }
 
-    // Partner sketches for this level: Bob's differing children (+ empty).
-    std::vector<std::pair<const Iblt*, const ChildSet*>> partners;
+    // Partner sketches for this level: Bob's differing children (about d),
+    // parsed back from their packed encodings, plus the empty child.
+    std::vector<std::pair<Iblt, const ChildSet*>> partners;
     for (size_t j = 0; j < bob.size(); ++j) {
-      if (in_db[j]) partners.emplace_back(&bob_sketches[j], &bob[j]);
+      if (!in_db[j]) continue;
+      Result<ChildEncoding> enc = ParseChildIbltBlob(
+          bob_packed.data() + j * blob_width, blob_width, child_config);
+      if (!enc.ok()) co_return enc.status();
+      partners.emplace_back(std::move(enc).value().sketch, &bob[j]);
     }
     const ChildSet empty_set;
-    const Iblt empty_sketch(child_config);
-    partners.emplace_back(&empty_sketch, &empty_set);
+    partners.emplace_back(Iblt(child_config), &empty_set);
 
     for (const IbltKeyView& blob : decoded.entries.positive) {
       Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
       if (!enc_r.ok()) continue;  // Noise; later levels retry.
       const ChildEncoding& enc = enc_r.value();
       if (recovered_fps.count(enc.fingerprint) > 0) continue;
-      for (const auto& [partner_sketch, partner_set] : partners) {
-        Iblt diff = enc.sketch;
-        if (!diff.Subtract(*partner_sketch).ok()) continue;
-        Result<IbltDecodeView64> dd = diff.DecodeU64View(child_scratch);
-        if (!dd.ok()) continue;
-        ChildSet candidate = ApplyDifference(*partner_set,
-                                             dd.value().positive,
-                                             dd.value().negative);
-        if (ChildFingerprint(candidate, fp_family) == enc.fingerprint) {
+      for (const auto& [sketch, set] : partners) {
+        Result<ChildSet> child =
+            RecoverChild(enc, sketch, *set, fp_family, child_scratch);
+        // A child over h cannot be Alice's, and T* packs children at h.
+        if (child.ok() && child.value().size() <= h) {
           recovered_fps.insert(enc.fingerprint);
-          da.push_back(std::move(candidate));
+          da.push_back(std::move(child).value());
           break;
         }
       }
@@ -326,21 +300,17 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   if (plan.has_star) {
     Iblt star = std::move(star_table).value();
     const size_t blob_width = plan.star_config.key_width;
-    ByteWriter star_packed;
-    for (const ChildSet& child : bob) {
-      star_packed.PutBytes(EncodeChildBlob(child, h));
+    std::vector<uint8_t> star_packed((bob.size() + da.size()) * blob_width);
+    for (size_t j = 0; j < bob.size() + da.size(); ++j) {
+      const ChildSet& child = j < bob.size() ? bob[j] : da[j - bob.size()];
+      WriteChildBlob(child, h, star_packed.data() + j * blob_width);
     }
-    for (const ChildSet& child : da) {
-      star_packed.PutBytes(EncodeChildBlob(child, h));
-    }
-    ctx->QueueEraseBytes(&star, star_packed.bytes().data(),
-                         bob.size() + da.size());
+    ctx->QueueEraseBytes(&star, star_packed.data(), bob.size() + da.size());
     co_await ctx->FlushBuilds();
     std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
     for (size_t j = 0; j < bob.size(); ++j) {
       blob_to_child.emplace(
-          IbltKeyView{star_packed.bytes().data() + j * blob_width, blob_width},
-          j);
+          IbltKeyView{star_packed.data() + j * blob_width, blob_width}, j);
     }
     IbltPartialDecodeView decoded = star.DecodePartial(outer_scratch);
     for (const IbltKeyView& blob : decoded.entries.negative) {

@@ -1,20 +1,26 @@
 #include "core/encoding.h"
 
+#include <cassert>
 #include <cstring>
 
+#include "setrec/set_reconciler.h"
 #include "util/serialization.h"
 
 namespace setrec {
 
 size_t ChildBlobWidth(size_t h) { return 4 + 8 * h; }
 
-std::vector<uint8_t> EncodeChildBlob(const ChildSet& child, size_t h) {
-  std::vector<uint8_t> blob(ChildBlobWidth(h), 0);
+void WriteChildBlob(const ChildSet& child, size_t h, uint8_t* out) {
+  assert(child.size() <= h);
   uint32_t count = static_cast<uint32_t>(child.size());
-  std::memcpy(blob.data(), &count, 4);
-  for (size_t i = 0; i < child.size(); ++i) {
-    std::memcpy(blob.data() + 4 + 8 * i, &child[i], 8);
-  }
+  std::memcpy(out, &count, 4);
+  if (!child.empty()) std::memcpy(out + 4, child.data(), 8 * child.size());
+  std::memset(out + 4 + 8 * child.size(), 0, 8 * (h - child.size()));
+}
+
+std::vector<uint8_t> EncodeChildBlob(const ChildSet& child, size_t h) {
+  std::vector<uint8_t> blob(ChildBlobWidth(h));
+  WriteChildBlob(child, h, blob.data());
   return blob;
 }
 
@@ -42,20 +48,18 @@ size_t ChildIbltBlobWidth(const IbltConfig& child_config) {
   return child_config.FixedSerializedSize() + 8;
 }
 
+void WriteChildIbltBlob(const ChildSet& child, const IbltConfig& child_config,
+                        uint64_t fingerprint, uint8_t* out) {
+  Iblt::WriteFixedU64(child_config, child.data(), child.size(), out);
+  std::memcpy(out + child_config.FixedSerializedSize(), &fingerprint, 8);
+}
+
 std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
                                          const IbltConfig& child_config,
                                          uint64_t fingerprint) {
-  Iblt sketch(child_config);
-  sketch.InsertBatch(child);
-  ByteWriter writer;
-  AppendChildIbltBlob(sketch, fingerprint, &writer);
-  return writer.Take();
-}
-
-void AppendChildIbltBlob(const Iblt& sketch, uint64_t fingerprint,
-                         ByteWriter* out) {
-  sketch.SerializeFixed(out);
-  out->PutU64(fingerprint);
+  std::vector<uint8_t> blob(ChildIbltBlobWidth(child_config));
+  WriteChildIbltBlob(child, child_config, fingerprint, blob.data());
+  return blob;
 }
 
 Result<ChildEncoding> ParseChildIbltBlob(const uint8_t* data, size_t size,
@@ -71,6 +75,24 @@ Result<ChildEncoding> ParseChildIbltBlob(const uint8_t* data, size_t size,
     return ParseError("child IBLT blob truncated (fingerprint)");
   }
   return ChildEncoding{std::move(sketch).value(), fingerprint};
+}
+
+Result<ChildSet> RecoverChild(const ChildEncoding& encoding,
+                              const Iblt& partner_sketch,
+                              const ChildSet& partner_set,
+                              const HashFamily& fp_family,
+                              DecodeScratch* scratch) {
+  // ApplyDifference sorts its own copies: the views are used as decoded.
+  Iblt diff = encoding.sketch;
+  if (Status s = diff.Subtract(partner_sketch); !s.ok()) return s;
+  Result<IbltDecodeView64> decoded = diff.DecodeU64View(scratch);
+  if (!decoded.ok()) return decoded.status();
+  ChildSet candidate = ApplyDifference(partner_set, decoded.value().positive,
+                                       decoded.value().negative);
+  if (ChildFingerprint(candidate, fp_family) != encoding.fingerprint) {
+    return VerificationFailure("child fingerprint mismatch");
+  }
+  return candidate;
 }
 
 }  // namespace setrec

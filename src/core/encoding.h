@@ -19,7 +19,10 @@ namespace setrec {
 /// a u32 count, h little-endian u64 elements (zero padded).
 size_t ChildBlobWidth(size_t h);
 
-/// Encodes `child` (sorted, size <= h) into a ChildBlobWidth(h) blob.
+/// Writes `child` (sorted, size <= h) as a ChildBlobWidth(h) blob to `out`.
+void WriteChildBlob(const ChildSet& child, size_t h, uint8_t* out);
+
+/// Owning form of WriteChildBlob.
 std::vector<uint8_t> EncodeChildBlob(const ChildSet& child, size_t h);
 
 /// Inverse of EncodeChildBlob; validates count, ordering and padding. The
@@ -44,22 +47,30 @@ struct ChildEncoding {
   uint64_t fingerprint;
 };
 
-/// Builds the (child IBLT, hash) encoding of Algorithms 1 and 2: the child's
-/// elements inserted into an IBLT with `child_config`, serialized fixed-
-/// width, followed by the child fingerprint.
+/// Writes the (child IBLT, hash) encoding of Algorithms 1 and 2 to `out`
+/// (ChildIbltBlobWidth bytes): the child's elements in a fixed-width IBLT
+/// with `child_config`, then its fingerprint. No table is built, so the
+/// protocols write each level's encodings in place into one packed buffer
+/// outside the service planner; only the outer-table update goes through it.
+void WriteChildIbltBlob(const ChildSet& child, const IbltConfig& child_config,
+                        uint64_t fingerprint, uint8_t* out);
+
+/// Owning form of WriteChildIbltBlob.
 std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
                                          const IbltConfig& child_config,
                                          uint64_t fingerprint);
 
-/// The split form: serializes an already-built child sketch plus its
-/// fingerprint, appending ChildIbltBlobWidth bytes to `out`. Protocols that
-/// defer child-sketch builds into coalesced planner passes build all
-/// sketches first, then pack the blobs contiguously for one outer-table
-/// batch update. Byte-identical to EncodeChildIbltBlob of the same child.
-void AppendChildIbltBlob(const Iblt& sketch, uint64_t fingerprint,
-                         ByteWriter* out);
+/// Recovers Alice's child behind `encoding` by decoding it against
+/// `partner_sketch` (the sketch of `partner_set`: a differing child of
+/// Bob's, or the empty set) and applying the difference to `partner_set`;
+/// fails unless the result matches the encoding's fingerprint.
+Result<ChildSet> RecoverChild(const ChildEncoding& encoding,
+                              const Iblt& partner_sketch,
+                              const ChildSet& partner_set,
+                              const HashFamily& fp_family,
+                              DecodeScratch* scratch);
 
-/// Parses a blob produced by EncodeChildIbltBlob. The (data, size) form
+/// Parses a blob produced by WriteChildIbltBlob. The (data, size) form
 /// reads straight out of a decode-view arena.
 Result<ChildEncoding> ParseChildIbltBlob(const uint8_t* data, size_t size,
                                          const IbltConfig& child_config);

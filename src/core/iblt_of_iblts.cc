@@ -9,7 +9,6 @@
 #include "core/split_party.h"
 #include "hashing/random.h"
 #include "iblt/iblt.h"
-#include "setrec/set_reconciler.h"
 #include "util/serialization.h"
 
 namespace setrec {
@@ -34,28 +33,6 @@ AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed) {
   return configs;
 }
 
-/// Tries to recover Alice's child set behind `alice_enc` by decoding her
-/// child IBLT against `partner_sketch` (one of Bob's differing children, or
-/// an empty sketch) and applying the difference to `partner_set`. The
-/// decode goes through the zero-allocation u64 view path; ApplyDifference
-/// sorts its own working copies, so the views are consumed as decoded.
-Result<ChildSet> TryRecoverChild(const ChildEncoding& alice_enc,
-                                 const Iblt& partner_sketch,
-                                 const ChildSet& partner_set,
-                                 const HashFamily& fp_family,
-                                 DecodeScratch* scratch) {
-  Iblt diff = alice_enc.sketch;
-  if (Status s = diff.Subtract(partner_sketch); !s.ok()) return s;
-  Result<IbltDecodeView64> decoded = diff.DecodeU64View(scratch);
-  if (!decoded.ok()) return decoded.status();
-  ChildSet candidate = ApplyDifference(partner_set, decoded.value().positive,
-                                       decoded.value().negative);
-  if (ChildFingerprint(candidate, fp_family) != alice_enc.fingerprint) {
-    return VerificationFailure("child fingerprint mismatch");
-  }
-  return candidate;
-}
-
 }  // namespace
 
 Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
@@ -66,30 +43,25 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
   HashFamily fp_family(seed, /*tag=*/0x66703262ull);
   const AttemptConfigs configs = MakeConfigs(d, d_hat, seed);
 
-  // Encode every child, insert encodings into the outer table. Child
-  // sketches are built through the deferred planner pass (one tiny batch
-  // per child, coalesced across children and sessions), then the packed
-  // blobs land in the outer table as one batch. The whole message is
-  // memoized across sessions sharing Alice's set.
+  // Encode every child, insert encodings into the outer table. Each child's
+  // (IBLT, fingerprint) encoding is written in place into one packed buffer
+  // (no per-child table, no planner op); only the outer-table update runs
+  // through the deferred planner pass. The whole message is memoized across
+  // sessions sharing Alice's set.
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
       {kAttemptTag, d, d_hat, seed,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    std::vector<Iblt> sketches;
-    sketches.reserve(alice.size());
-    for (const ChildSet& child : alice) {
-      sketches.emplace_back(configs.child);
-      ctx->QueueInsertU64(&sketches.back(), child.data(), child.size());
-    }
-    co_await ctx->FlushBuilds();
-    ByteWriter packed;
+    const size_t blob_width = configs.outer.key_width;
+    std::vector<uint8_t> packed(alice.size() * blob_width);
     for (size_t i = 0; i < alice.size(); ++i) {
-      AppendChildIbltBlob(sketches[i],
-                          ChildFingerprint(alice[i], fp_family), &packed);
+      WriteChildIbltBlob(alice[i], configs.child,
+                         ChildFingerprint(alice[i], fp_family),
+                         packed.data() + i * blob_width);
     }
     Iblt outer(configs.outer);
-    ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
+    ctx->QueueInsertBytes(&outer, packed.data(), alice.size());
     co_await ctx->FlushBuilds();
     writer->PutU64(ParentFingerprint(alice, fp_family));
     outer.SerializeWith(params_.wire_codec, writer);
@@ -132,22 +104,16 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   if (!received.ok()) co_return received.status();
   Iblt remote = std::move(received).value();
 
-  // Bob's own encodings, built the same deferred way as Alice's, erased
+  // Bob's own encodings, written in place the same way as Alice's, erased
   // from the outer table as one batch.
   const size_t blob_width = outer_config.key_width;
-  std::vector<Iblt> bob_sketches;
-  bob_sketches.reserve(bob.size());
-  for (const ChildSet& child : bob) {
-    bob_sketches.emplace_back(child_config);
-    ctx->QueueInsertU64(&bob_sketches.back(), child.data(), child.size());
-  }
-  co_await ctx->FlushBuilds();
-  ByteWriter bob_packed;
+  std::vector<uint8_t> bob_packed(bob.size() * blob_width);
   for (size_t i = 0; i < bob.size(); ++i) {
-    AppendChildIbltBlob(bob_sketches[i],
-                        ChildFingerprint(bob[i], fp_family), &bob_packed);
+    WriteChildIbltBlob(bob[i], child_config,
+                       ChildFingerprint(bob[i], fp_family),
+                       bob_packed.data() + i * blob_width);
   }
-  ctx->QueueEraseBytes(&remote, bob_packed.bytes().data(), bob.size());
+  ctx->QueueEraseBytes(&remote, bob_packed.data(), bob.size());
   co_await ctx->FlushBuilds();
 
   // Bob's encodings keyed by blob so decoded negatives map back to his
@@ -156,8 +122,7 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
   for (size_t i = 0; i < bob.size(); ++i) {
     blob_to_child.emplace(
-        IbltKeyView{bob_packed.bytes().data() + i * blob_width, blob_width},
-        i);
+        IbltKeyView{bob_packed.data() + i * blob_width, blob_width}, i);
   }
 
   // Two pooled scratches: slot 0 owns the outer-table decode views, which
@@ -170,11 +135,7 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   if (!decoded.ok()) co_return decoded.status();
 
   // D_B: Bob's children whose encodings differ from all of Alice's.
-  struct Partner {
-    ChildEncoding encoding;
-    const ChildSet* set;
-  };
-  std::vector<Partner> partners;
+  std::vector<std::pair<Iblt, const ChildSet*>> partners;  // Sketch, set.
   std::vector<bool> in_db(bob.size(), false);
   for (const IbltKeyView& blob : decoded.value().negative) {
     auto it = blob_to_child.find(blob);
@@ -184,39 +145,28 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
     Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
     if (!enc.ok()) co_return enc.status();
     in_db[it->second] = true;
-    partners.push_back(Partner{std::move(enc).value(), &bob[it->second]});
+    partners.emplace_back(std::move(enc).value().sketch, &bob[it->second]);
   }
   // A fresh child of Alice's may have no close partner; pairing against the
-  // empty set recovers it when it has at most ~d elements.
+  // empty set, tried last, recovers it when it has at most ~d elements.
   const ChildSet empty_set;
-  const Iblt empty_sketch(child_config);
+  partners.emplace_back(Iblt(child_config), &empty_set);
 
   // D_A: recover each of Alice's differing children.
   SetOfSets recovered_children;
   for (const IbltKeyView& blob : decoded.value().positive) {
     Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
     if (!enc_r.ok()) co_return enc_r.status();
-    const ChildEncoding& enc = enc_r.value();
-    bool ok = false;
-    for (const Partner& partner : partners) {
+    const size_t before = recovered_children.size();
+    for (const auto& [sketch, set] : partners) {
       Result<ChildSet> child =
-          TryRecoverChild(enc, partner.encoding.sketch, *partner.set,
-                          fp_family, child_scratch);
+          RecoverChild(enc_r.value(), sketch, *set, fp_family, child_scratch);
       if (child.ok()) {
         recovered_children.push_back(std::move(child).value());
-        ok = true;
         break;
       }
     }
-    if (!ok) {
-      Result<ChildSet> child = TryRecoverChild(enc, empty_sketch, empty_set,
-                                               fp_family, child_scratch);
-      if (child.ok()) {
-        recovered_children.push_back(std::move(child).value());
-        ok = true;
-      }
-    }
-    if (!ok) {
+    if (recovered_children.size() == before) {
       co_return DecodeFailure("iblt2: a child IBLT decoded with no partner");
     }
   }

@@ -22,11 +22,9 @@ constexpr uint64_t kEstimatorTag = 0x6e764553ull;
 /// buffer, the shape Iblt::InsertBatch/EraseBatch consume.
 std::vector<uint8_t> PackChildBlobs(const SetOfSets& children, size_t h) {
   const size_t width = ChildBlobWidth(h);
-  std::vector<uint8_t> packed;
-  packed.reserve(children.size() * width);
-  for (const ChildSet& child : children) {
-    std::vector<uint8_t> blob = EncodeChildBlob(child, h);
-    packed.insert(packed.end(), blob.begin(), blob.end());
+  std::vector<uint8_t> packed(children.size() * width);
+  for (size_t i = 0; i < children.size(); ++i) {
+    WriteChildBlob(children[i], h, packed.data() + i * width);
   }
   return packed;
 }

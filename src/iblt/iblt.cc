@@ -54,6 +54,47 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+// Member tags of the two per-table hash families.
+constexpr uint64_t kBucketFamilyTag = 0x6275636bull;  // "buck"
+constexpr uint64_t kCheckFamilyTag = 0x6368656bull;   // "chek"
+
+// floor(2^64 / d) in 64-bit arithmetic, the reciprocal CellIndex multiplies
+// by (unused for single-cell partitions).
+uint64_t ModMagic(size_t d) {
+  return d > 1 ? ~0ull / d + (~0ull % d == d - 1) : 0;
+}
+
+// LINT(alloc-free) — per-(key, hash) math shared by tables and the
+// fixed-width writer: pure mixing and a reciprocal modulo.
+Iblt::KeyHashes HashU64With(const HashFamily& bucket_family,
+                            const HashFamily& check_family, uint64_t key) {
+  // The seed-independent lane mix is shared between the two families.
+  uint64_t mixed = HashFamily::MixLane8(key);
+  return {bucket_family.HashWord8Premixed(mixed),
+          check_family.HashWord8Premixed(mixed)};
+}
+
+// The one-hash cell derivation (see Iblt's class comment): the cell of hash
+// function `index` for a key with bucket hash `bucket_hash`.
+size_t CellIndex(uint64_t bucket_hash, int index, size_t cells_per_hash,
+                 uint64_t mod_magic) {
+  uint64_t sub = Mix64(bucket_hash ^
+                       (uint64_t{0x9e3779b97f4a7c15} * static_cast<uint64_t>(index + 1)));
+  // Exact `sub % cells_per_hash` via the precomputed reciprocal: with
+  // M = floor(2^64 / d), q = mulhi(sub, M) is floor(sub/d) or one less, so
+  // one conditional subtract fixes the remainder. Replaces a hardware
+  // division on the hot path; bit-identical to the plain modulo.
+  uint64_t r = 0;
+  if (cells_per_hash > 1) {
+    uint64_t q = static_cast<uint64_t>(
+        (static_cast<__uint128_t>(sub) * mod_magic) >> 64);
+    r = sub - q * cells_per_hash;
+    if (r >= cells_per_hash) r -= cells_per_hash;
+  }
+  return static_cast<size_t>(index) * cells_per_hash + r;
+}
+// LINT(end)
+
 }  // namespace
 
 int Iblt::sharded_workers_for_test = 0;
@@ -86,14 +127,11 @@ Iblt::Iblt(const IbltConfig& config)
       cells_(config.PaddedCells()),
       cells_per_hash_(cells_ / static_cast<size_t>(config.num_hashes)),
       lanes_per_key_((config.key_width + 7) / 8),
-      mod_magic_(cells_per_hash_ > 1
-                     ? ~0ull / cells_per_hash_ +
-                           (~0ull % cells_per_hash_ == cells_per_hash_ - 1)
-                     : 0),
+      mod_magic_(ModMagic(cells_per_hash_)),
       meta_(cells_),
       key_lanes_(cells_ * lanes_per_key_, 0),
-      bucket_family_(config.seed, /*tag=*/0x6275636bull),   // "buck"
-      check_family_(config.seed, /*tag=*/0x6368656bull) {}  // "chek"
+      bucket_family_(config.seed, kBucketFamilyTag),
+      check_family_(config.seed, kCheckFamilyTag) {}
 
 void Iblt::Insert(const uint8_t* key) { Update(key, +1); }
 void Iblt::Insert(const std::vector<uint8_t>& key) {
@@ -134,13 +172,10 @@ void Iblt::EraseBatch(const uint8_t* keys, size_t n) {
   ApplyBatchBytes(keys, n, -1, batch_options_);
 }
 
-// LINT(alloc-free) — per-(key, hash) math on the peel path: pure mixing
-// and a reciprocal modulo, no heap traffic allowed.
+// LINT(alloc-free) — per-(key, hash) math on the peel and child-encoding
+// paths: pure mixing and a reciprocal modulo, no heap traffic allowed.
 Iblt::KeyHashes Iblt::HashKeyU64(uint64_t key) const {
-  // The seed-independent lane mix is shared between the two families.
-  uint64_t mixed = HashFamily::MixLane8(key);
-  return {bucket_family_.HashWord8Premixed(mixed),
-          check_family_.HashWord8Premixed(mixed)};
+  return HashU64With(bucket_family_, check_family_, key);
 }
 
 Iblt::KeyHashes Iblt::HashKey(const uint8_t* key) const {
@@ -154,20 +189,37 @@ Iblt::KeyHashes Iblt::HashKey(const uint8_t* key) const {
 }
 
 size_t Iblt::CellForIndex(uint64_t bucket_hash, int index) const {
-  uint64_t sub = Mix64(bucket_hash ^
-                       (uint64_t{0x9e3779b97f4a7c15} * static_cast<uint64_t>(index + 1)));
-  // Exact `sub % cells_per_hash_` via the precomputed reciprocal: with
-  // M = floor(2^64 / d), q = mulhi(sub, M) is floor(sub/d) or one less, so
-  // one conditional subtract fixes the remainder. Replaces a hardware
-  // division on the hot path; bit-identical to the plain modulo.
-  uint64_t r = 0;
-  if (cells_per_hash_ > 1) {
-    uint64_t q = static_cast<uint64_t>(
-        (static_cast<__uint128_t>(sub) * mod_magic_) >> 64);
-    r = sub - q * cells_per_hash_;
-    if (r >= cells_per_hash_) r -= cells_per_hash_;
+  return CellIndex(bucket_hash, index, cells_per_hash_, mod_magic_);
+}
+
+void Iblt::WriteFixedU64(const IbltConfig& config, const uint64_t* keys,
+                         size_t n, uint8_t* out) {
+  assert(config.key_width == 8);
+  const size_t cells_per_hash =
+      config.PaddedCells() / static_cast<size_t>(config.num_hashes);
+  const uint64_t mod_magic = ModMagic(cells_per_hash);
+  const HashFamily bucket_family(config.seed, kBucketFamilyTag);
+  const HashFamily check_family(config.seed, kCheckFamilyTag);
+  constexpr size_t kCellBytes = 4 + 8 + 8;
+  std::memset(out, 0, config.FixedSerializedSize());
+  // Cells are updated in their serialized form: little-endian u32 count
+  // (wrapping like SerializeFixed's cast), u64 checksum, u64 key.
+  for (size_t j = 0; j < n; ++j) {
+    const KeyHashes h = HashU64With(bucket_family, check_family, keys[j]);
+    for (int i = 0; i < config.num_hashes; ++i) {
+      uint8_t* cell =
+          out + CellIndex(h.bucket, i, cells_per_hash, mod_magic) * kCellBytes;
+      uint32_t count;
+      uint64_t lanes[2];
+      std::memcpy(&count, cell, 4);
+      std::memcpy(lanes, cell + 4, 16);
+      count += 1;
+      lanes[0] ^= h.check;
+      lanes[1] ^= keys[j];
+      std::memcpy(cell, &count, 4);
+      std::memcpy(cell + 4, lanes, 16);
+    }
   }
-  return static_cast<size_t>(index) * cells_per_hash_ + r;
 }
 // LINT(end)
 
@@ -325,8 +377,8 @@ void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
                          const IbltBatchOptions& options) {
   assert(config_.key_width == 8);
   if (n == 0) return;
-  // Small batches (the per-child sketches of the set-of-sets protocols)
-  // hash into a stack buffer so batched updates stay allocation-free.
+  // Small batches hash into a stack buffer so batched updates stay
+  // allocation-free.
   KeyHashes stack_hashes[kSmallBatchMaxKeys];
   std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
   KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes

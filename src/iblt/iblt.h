@@ -386,6 +386,14 @@ class Iblt {
   [[nodiscard]] static Result<Iblt> DeserializeFixed(ByteReader* reader,
                                        const IbltConfig& config);
 
+  /// Writes exactly the SerializeFixed() bytes of a fresh Iblt(config)
+  /// after InsertBatch(keys, n) to `out` (config.FixedSerializedSize()
+  /// bytes) without building the table or allocating. The set-of-sets
+  /// protocols encode child sets this way: those tables are only ever
+  /// outer-table keys. Requires key_width == 8.
+  static void WriteFixedU64(const IbltConfig& config, const uint64_t* keys,
+                            size_t n, uint8_t* out);
+
   /// One deferred batch op of a multi-table pass: insert (delta=+1) or
   /// erase (delta=-1) `n` keys into `table`. Exactly one of u64_keys /
   /// byte_keys is set; byte keys are packed at table->config().key_width
@@ -432,8 +440,9 @@ class Iblt {
   static constexpr size_t kShardedBatchMinKeys = kShardedBatchMinKeysDefault;
 
   /// Batches up to this size hash into a stack buffer (16 bytes per key)
-  /// instead of a heap vector, keeping small batched updates — the
-  /// per-child sketches of the set-of-sets protocols — allocation-free.
+  /// instead of a heap vector, keeping small batched updates — estimator
+  /// strata, small outer tables — allocation-free. (Child encodings never
+  /// build a table; see WriteFixedU64.)
   static constexpr size_t kSmallBatchMaxKeys = 128;
 
   /// Test hook: when > 0, large batches use exactly this many workers

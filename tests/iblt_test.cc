@@ -193,6 +193,65 @@ TEST(IbltTest, DeserializeTruncatedRejected) {
   EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
 }
 
+// Iblt::WriteFixedU64 must emit exactly what building the table and
+// serializing it would, for every shape the set-of-sets protocols encode
+// children with: ForDifference(d) child configs (iblt2) and the cascade's
+// per-level configs (4 hashes, 6..40 cells), with empty, singleton and
+// full (h = 16) children and more keys than cells, under several seeds.
+std::vector<uint8_t> FixedBytesViaTable(const IbltConfig& config,
+                                        const std::vector<uint64_t>& keys) {
+  Iblt table(config);
+  table.InsertBatch(keys);
+  ByteWriter writer;
+  table.SerializeFixed(&writer);
+  return writer.Take();
+}
+
+void ExpectWriterMatchesTable(const IbltConfig& config, Rng* rng) {
+  const size_t h = 16;
+  for (size_t n : {size_t{0}, size_t{1}, h, config.PaddedCells() + 5}) {
+    std::vector<uint64_t> keys(n);
+    for (uint64_t& key : keys) key = rng->NextU64();
+    std::vector<uint8_t> written(config.FixedSerializedSize(), 0xa5);
+    Iblt::WriteFixedU64(config, keys.data(), keys.size(), written.data());
+    EXPECT_EQ(written, FixedBytesViaTable(config, keys))
+        << "cells " << config.cells << " seed " << config.seed << " n " << n;
+  }
+}
+
+TEST(IbltFixedWriterTest, MatchesTableSerializationForDifferenceConfigs) {
+  for (uint64_t seed : {1ull, 0x63686c64ull, 0xfeedfacecafebeefull}) {
+    Rng rng(seed);
+    for (size_t d = 1; d <= 64; ++d) {
+      ExpectWriterMatchesTable(IbltConfig::ForDifference(d, seed), &rng);
+    }
+  }
+}
+
+TEST(IbltFixedWriterTest, MatchesTableSerializationForCascadeLevelConfigs) {
+  for (uint64_t seed : {2ull, 0x6c63686cull, 0x0123456789abcdefull}) {
+    Rng rng(seed);
+    for (size_t cells = 6; cells <= 40; ++cells) {
+      IbltConfig config;
+      config.cells = cells;
+      config.num_hashes = 4;
+      config.key_width = 8;
+      config.seed = DeriveSeed(seed, cells);
+      ExpectWriterMatchesTable(config, &rng);
+    }
+  }
+}
+
+TEST(IbltFixedWriterTest, RepeatedKeysMatchTable) {
+  // Duplicate keys drive counts to 2 and cancel key/check XORs, the edge
+  // the serialized-form cell updates must reproduce too.
+  IbltConfig config = IbltConfig::ForDifference(3, 11);
+  std::vector<uint64_t> keys = {5, 5, 9, 9, 9, 0};
+  std::vector<uint8_t> written(config.FixedSerializedSize());
+  Iblt::WriteFixedU64(config, keys.data(), keys.size(), written.data());
+  EXPECT_EQ(written, FixedBytesViaTable(config, keys));
+}
+
 TEST(BlobIbltTest, WideKeysRoundTrip) {
   IbltConfig config = IbltConfig::ForDifference(6, 31, /*key_width=*/24);
   Iblt table(config);

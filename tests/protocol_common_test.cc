@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/encoding.h"
 #include "core/workload.h"
 #include "setrec/multiset_codec.h"
+#include "util/serialization.h"
 
 namespace setrec {
 namespace {
@@ -104,6 +107,26 @@ TEST(ChildBlobTest, WrongWidthRejected) {
   EXPECT_FALSE(DecodeChildBlob(blob, 5).ok());
 }
 
+TEST(ChildBlobTest, WriterFillsItsSlotInAPackedBuffer) {
+  // Children written side by side, over a dirty buffer, read back exactly
+  // as the owning encoder's blobs.
+  const size_t h = 4;
+  const size_t width = ChildBlobWidth(h);
+  const SetOfSets children = {{}, {7}, {1, 2, 3, 4}, {0, 1ull << 55}};
+  std::vector<uint8_t> packed(children.size() * width, 0xff);
+  for (size_t i = 0; i < children.size(); ++i) {
+    WriteChildBlob(children[i], h, packed.data() + i * width);
+  }
+  for (size_t i = 0; i < children.size(); ++i) {
+    const uint8_t* slot = packed.data() + i * width;
+    EXPECT_EQ(std::vector<uint8_t>(slot, slot + width),
+              EncodeChildBlob(children[i], h));
+    Result<ChildSet> decoded = DecodeChildBlob(slot, width, h);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value(), children[i]);
+  }
+}
+
 TEST(ChildIbltBlobTest, RoundTrip) {
   IbltConfig config = IbltConfig::ForDifference(4, 99);
   ChildSet child = {10, 20, 30};
@@ -115,6 +138,40 @@ TEST(ChildIbltBlobTest, RoundTrip) {
   Result<IbltDecodeResult64> decoded = enc.value().sketch.DecodeU64();
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().positive.size(), 3u);
+}
+
+TEST(ChildIbltBlobTest, WriterMatchesTablePathAndRoundTrips) {
+  // The in-place writer against the table path it replaced: build the
+  // child's IBLT, SerializeFixed, append the fingerprint.
+  for (size_t d : {size_t{1}, size_t{3}, size_t{8}, size_t{21}}) {
+    const IbltConfig config = IbltConfig::ForDifference(d, 500 + d);
+    for (const ChildSet& child :
+         SetOfSets{{}, {42}, {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}}) {
+      const uint64_t fp = 0x0123456789abcdefull ^ child.size();
+      Iblt sketch(config);
+      sketch.InsertBatch(child);
+      ByteWriter expected;
+      sketch.SerializeFixed(&expected);
+      expected.PutU64(fp);
+
+      std::vector<uint8_t> written(ChildIbltBlobWidth(config), 0xee);
+      WriteChildIbltBlob(child, config, fp, written.data());
+      EXPECT_EQ(written, expected.bytes());
+      EXPECT_EQ(EncodeChildIbltBlob(child, config, fp), expected.bytes());
+
+      Result<ChildEncoding> enc =
+          ParseChildIbltBlob(written.data(), written.size(), config);
+      ASSERT_TRUE(enc.ok());
+      EXPECT_EQ(enc.value().fingerprint, fp);
+      if (child.size() > d) continue;  // Beyond the sketch's capacity.
+      Result<IbltDecodeResult64> decoded = enc.value().sketch.DecodeU64();
+      ASSERT_TRUE(decoded.ok());
+      std::vector<uint64_t> elements = decoded.value().positive;
+      std::sort(elements.begin(), elements.end());
+      EXPECT_EQ(elements, child);
+      EXPECT_TRUE(decoded.value().negative.empty());
+    }
+  }
 }
 
 TEST(WorkloadTest, AppliesRequestedChanges) {
