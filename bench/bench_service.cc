@@ -1,18 +1,14 @@
 // SyncService throughput: many concurrent small reconciliation sessions
 // against one shared server set, driven (a) one-session-at-a-time through
 // blocking Reconcile calls — the pre-service status quo — and (b) through
-// the SyncService's stepped state machines with the cross-session batch
-// planner, Alice-message memoization and pooled decode scratches.
+// the SyncService's stepped state machines with Alice-message memoization
+// and pooled decode scratches.
 //
 // The headline measurements (written to BENCH_service.json by `--json`):
 //   * sessions/sec for both drivers and their ratio (the service must win
-//     by coalescing + memoization alone; the box may be single-core),
-//   * batch-planner occupancy: keys per coalesced flush vs the sharded
-//     ApplyOps threshold. Child encodings are written in place outside the
-//     planner, so flushes carry only outer-table, fingerprint-table and
-//     estimator updates, and on these workloads they stay below it,
-//   * a sharding-threshold sweep over IbltBatchOptions::sharded_min_keys
-//     (the runtime knob) showing where sharded flushes engage.
+//     by memoization alone; the box may be single-core),
+//   * the same workload over sockets, at growing connection counts and
+//     across shard counts, plus wire bytes per codec and the obs overhead.
 
 #include <fcntl.h>
 #include <sys/socket.h>
@@ -134,10 +130,9 @@ DriverResult RunDirect(const Workload& w) {
   return r;
 }
 
-DriverResult RunService(const Workload& w, const IbltBatchOptions& batch,
-                        size_t max_inflight = 0, bool metrics = true) {
+DriverResult RunService(const Workload& w, size_t max_inflight = 0,
+                        bool metrics = true) {
   SyncServiceOptions options;
-  options.batch = batch;
   options.max_inflight =
       max_inflight == 0 ? w.clients.size() : max_inflight;
   options.keep_recovered = false;
@@ -169,12 +164,10 @@ DriverResult RunService(const Workload& w, const IbltBatchOptions& batch,
 
 /// The multi-core path: the same loopback workload through a
 /// ShardedSyncService with `shards` driver threads.
-DriverResult RunShardedService(const Workload& w,
-                               const IbltBatchOptions& batch, size_t shards,
+DriverResult RunShardedService(const Workload& w, size_t shards,
                                size_t max_inflight = 0) {
   ShardedSyncServiceOptions options;
   options.shards = shards;
-  options.service.batch = batch;
   options.service.max_inflight =
       max_inflight == 0 ? w.clients.size() : max_inflight;
   options.service.keep_recovered = false;
@@ -203,17 +196,11 @@ DriverResult RunShardedService(const Workload& w,
 }
 
 void PrintComparison(const char* name, const DriverResult& direct,
-                     const DriverResult& service, size_t sessions,
-                     const IbltBatchOptions& batch) {
+                     const DriverResult& service, size_t sessions) {
   const double direct_rate = static_cast<double>(sessions) / direct.seconds;
   const double service_rate = static_cast<double>(sessions) / service.seconds;
-  std::printf("%-22s %10.0f %10.0f %7.2fx   occ mean %7.0f max %7zu "
-              "(thresh %zu, sharded %zu/%zu) cache %zu/%zu\n",
-              name, direct_rate, service_rate, service_rate / direct_rate,
-              service.service_stats.mean_flush_occupancy(),
-              service.service_stats.max_flush_keys, batch.sharded_min_keys,
-              service.service_stats.sharded_flushes,
-              service.service_stats.flushes,
+  std::printf("%-22s %10.0f %10.0f %7.2fx   cache %zu/%zu\n", name,
+              direct_rate, service_rate, service_rate / direct_rate,
               service.service_stats.cache_hits,
               service.service_stats.cache_hits +
                   service.service_stats.cache_misses);
@@ -619,10 +606,9 @@ struct ShardSweepRow {
 /// service, plus the socketpair net workload through the multi-pump.
 ShardSweepRow MeasureShardRow(const Workload& w, size_t shards,
                               size_t net_sessions) {
-  IbltBatchOptions batch;
   ShardSweepRow row;
   row.shards = shards;
-  DriverResult loopback = RunShardedService(w, batch, shards, 512);
+  DriverResult loopback = RunShardedService(w, shards, 512);
   row.seconds = loopback.seconds;
   row.failed = loopback.failed;
   row.sessions_per_sec =
@@ -683,8 +669,6 @@ struct ObsReport {
   double min_seconds_off = 0;
   size_t session_samples = 0;
   size_t round_samples = 0;
-  size_t flush_samples = 0;
-  size_t occupancy_samples = 0;
   double p50_session_ms = 0;
   double p99_session_ms = 0;
 };
@@ -701,8 +685,7 @@ double MeasureRecordCostNs() {
 }
 
 size_t CountRegistrySamples(const obs::MetricRegistry& m) {
-  size_t samples = m.opaque_session_latency.count() + m.flush_latency.count() +
-                   m.flush_occupancy.count() + m.lease_wait.count() +
+  size_t samples = m.opaque_session_latency.count() + m.lease_wait.count() +
                    m.lease_hold.count();
   for (size_t k = 0; k < obs::kProtocolKinds; ++k) {
     for (size_t c = 0; c < obs::kWireCodecs; ++c) {
@@ -749,8 +732,6 @@ void FinishObsReport(double on_seconds, double off_seconds,
     }
   }
   r->round_samples = rounds;
-  r->flush_samples = m.flush_latency.count();
-  r->occupancy_samples = m.flush_occupancy.count();
   r->p50_session_ms = static_cast<double>(session.p50()) / 1e6;
   r->p99_session_ms = static_cast<double>(session.p99()) / 1e6;
 }
@@ -763,9 +744,7 @@ int CheckObsGate(const ObsReport& r) {
     const char* name;
     size_t samples;
   } rows[] = {{"session_latency", r.session_samples},
-              {"round_latency", r.round_samples},
-              {"flush_latency", r.flush_samples},
-              {"flush_occupancy", r.occupancy_samples}};
+              {"round_latency", r.round_samples}};
   for (const auto& row : rows) {
     if (row.samples == 0) {
       std::fprintf(stderr, "bench_service: obs histogram %s has 0 samples\n",
@@ -873,17 +852,16 @@ int RunJsonSuite() {
   Workload w = MakeWorkload(kSessions, /*children=*/64, /*child_size=*/8,
                             /*d=*/2, /*seed=*/41);
 
-  IbltBatchOptions batch;  // Library default threshold (64k keys).
   std::vector<DriverResult> direct_reps;
   std::vector<DriverResult> service_reps;
   std::vector<double> service_off_secs;
   for (int rep = 0; rep < kReps; ++rep) {
     direct_reps.push_back(RunDirect(w));
-    service_reps.push_back(RunService(w, batch, kWindow));
+    service_reps.push_back(RunService(w, kWindow));
     // Metrics-off contrast rep, interleaved so bursts land on every arm.
     if (rep < 3) {
       service_off_secs.push_back(
-          RunService(w, batch, kWindow, /*metrics=*/false).seconds);
+          RunService(w, kWindow, /*metrics=*/false).seconds);
     }
   }
   auto by_seconds = [](const DriverResult& a, const DriverResult& b) {
@@ -908,28 +886,6 @@ int RunJsonSuite() {
   const double direct_rate = static_cast<double>(kSessions) / direct.seconds;
   const double service_rate = static_cast<double>(kSessions) / service.seconds;
 
-  // Threshold sweep on a smaller population (the knob is runtime-tunable;
-  // occupancy is deterministic, timing is the noisy column).
-  struct SweepRow {
-    size_t threshold;
-    double seconds;
-    size_t sharded;
-    size_t flushes;
-    size_t max_keys;
-  };
-  std::vector<SweepRow> sweep;
-  Workload sw = MakeWorkload(2000, 64, 8, 2, 43);
-  for (size_t threshold : {size_t{4} << 10, size_t{16} << 10, size_t{64} << 10,
-                           size_t{256} << 10}) {
-    IbltBatchOptions sweep_batch;
-    sweep_batch.sharded_min_keys = threshold;
-    DriverResult row = RunService(sw, sweep_batch, kWindow);
-    sweep.push_back({threshold, row.seconds,
-                     row.service_stats.sharded_flushes,
-                     row.service_stats.flushes,
-                     row.service_stats.max_flush_keys});
-  }
-
   char buf[512];
   std::string json = "{\n  \"bench\": \"service\",\n";
   std::snprintf(
@@ -950,30 +906,12 @@ int RunJsonSuite() {
       buf, sizeof buf,
       "  \"service\": {\"sessions_per_sec\": %.0f, \"seconds\": %.3f, "
       "\"bytes\": %zu, \"rounds\": %zu, \"speedup\": %.2f,\n"
-      "    \"flushes\": %zu, \"mean_flush_keys\": %.0f, "
-      "\"max_flush_keys\": %zu,\n"
-      "    \"sharded_min_keys\": %zu, \"sharded_flushes\": %zu,\n"
       "    \"cache_hits\": %zu, \"cache_misses\": %zu, "
-      "\"estimator_jobs\": %zu, \"resumes\": %zu, \"steps\": %zu},\n",
+      "\"resumes\": %zu, \"steps\": %zu},\n",
       service_rate, service.seconds, service.bytes, service.rounds,
-      service_rate / direct_rate, stats.flushes,
-      stats.mean_flush_occupancy(), stats.max_flush_keys,
-      batch.sharded_min_keys, stats.sharded_flushes, stats.cache_hits,
-      stats.cache_misses, stats.estimator_jobs, stats.resumes, stats.steps);
+      service_rate / direct_rate, stats.cache_hits, stats.cache_misses,
+      stats.resumes, stats.steps);
   json += buf;
-  json += "  \"threshold_sweep\": [\n";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"sharded_min_keys\": %zu, \"seconds\": %.3f, "
-        "\"sharded_flushes\": %zu, \"flushes\": %zu, "
-        "\"max_flush_keys\": %zu}%s\n",
-        sweep[i].threshold, sweep[i].seconds, sweep[i].sharded,
-        sweep[i].flushes, sweep[i].max_keys,
-        i + 1 < sweep.size() ? "," : "");
-    json += buf;
-  }
-  json += "  ],\n";
 
   // Split-party sessions over real sockets (the src/net/ pump).
   NetBenchResult net = RunNetBench(/*sessions=*/512);
@@ -1035,7 +973,7 @@ int RunJsonSuite() {
   Workload sparse_w = w;
   sparse_w.params.wire_codec = WireCodec::kSparse;
   DriverResult sparse_direct = RunDirect(sparse_w);
-  DriverResult sparse_service = RunService(sparse_w, batch, kWindow);
+  DriverResult sparse_service = RunService(sparse_w, kWindow);
   if (sparse_direct.failed != 0 || sparse_service.failed != 0 ||
       sparse_direct.bytes != sparse_service.bytes) {
     std::fprintf(stderr,
@@ -1148,13 +1086,12 @@ int RunJsonSuite() {
       "    \"ab_min_seconds_on\": %.3f, \"ab_min_seconds_off\": %.3f, "
       "\"ab_delta_pct\": %.2f,\n"
       "    \"histogram_samples\": {\"total\": %zu, \"session\": %zu, "
-      "\"round\": %zu, \"flush\": %zu, \"flush_occupancy\": %zu},\n"
+      "\"round\": %zu},\n"
       "    \"session_latency_ms\": {\"p50\": %.3f, \"p99\": %.3f}}\n",
       obs_report.record_cost_ns, obs_report.model_pct,
       obs_report.min_seconds_on, obs_report.min_seconds_off,
       obs_report.ab_pct, obs_report.histogram_samples,
       obs_report.session_samples, obs_report.round_samples,
-      obs_report.flush_samples, obs_report.occupancy_samples,
       obs_report.p50_session_ms, obs_report.p99_session_ms);
   json += buf;
   json += "}\n";
@@ -1168,15 +1105,13 @@ int RunJsonSuite() {
   std::fputs(json.c_str(), f);
   std::fclose(f);
   std::printf("direct  %8.0f sessions/sec\nservice %8.0f sessions/sec "
-              "(%.2fx)\nmax flush occupancy %zu keys (threshold %zu, "
-              "%zu/%zu sharded flushes)\n"
+              "(%.2fx)\n"
               "net     %8.0f sessions/sec over socketpair "
               "(%.0f round-trips/sec, p50 %.2fms, p99 %.2fms)\n"
               "wrote BENCH_service.json\n",
               direct_rate, service_rate, service_rate / direct_rate,
-              stats.max_flush_keys, batch.sharded_min_keys,
-              stats.sharded_flushes, stats.flushes, net.sessions_per_sec,
-              net.round_trips_per_sec, net.p50_ms, net.p99_ms);
+              net.sessions_per_sec, net.round_trips_per_sec, net.p50_ms,
+              net.p99_ms);
   return 0;
 }
 
@@ -1188,15 +1123,14 @@ int RunQuickSuite() {
   const int kReps = 3;
   Workload w = MakeWorkload(kSessions, /*children=*/64, /*child_size=*/8,
                             /*d=*/2, /*seed=*/41);
-  IbltBatchOptions batch;
   std::vector<double> direct_secs, service_secs, off_secs;
   obs::MetricRegistry metrics;
   for (int rep = 0; rep < kReps; ++rep) {
     direct_secs.push_back(RunDirect(w).seconds);
-    DriverResult on = RunService(w, batch, 512);
+    DriverResult on = RunService(w, 512);
     service_secs.push_back(on.seconds);
     metrics = on.obs_metrics;
-    off_secs.push_back(RunService(w, batch, 512, /*metrics=*/false).seconds);
+    off_secs.push_back(RunService(w, 512, /*metrics=*/false).seconds);
   }
   std::sort(direct_secs.begin(), direct_secs.end());
   std::sort(service_secs.begin(), service_secs.end());
@@ -1212,12 +1146,10 @@ int RunQuickSuite() {
   FinishObsReport(service_secs.front(),
                   *std::min_element(off_secs.begin(), off_secs.end()),
                   metrics, &obs_report);
-  std::printf("obs     %zu histogram samples (session %zu, round %zu, "
-              "flush %zu/%zu), overhead %.3f%% modeled "
-              "(%.1f ns/record), A/B delta %.1f%%\n",
+  std::printf("obs     %zu histogram samples (session %zu, round %zu), "
+              "overhead %.3f%% modeled (%.1f ns/record), A/B delta %.1f%%\n",
               obs_report.histogram_samples, obs_report.session_samples,
-              obs_report.round_samples, obs_report.flush_samples,
-              obs_report.occupancy_samples, obs_report.model_pct,
+              obs_report.round_samples, obs_report.model_pct,
               obs_report.record_cost_ns, obs_report.ab_pct);
   return CheckObsGate(obs_report) == 0 ? 0 : 1;
 }
@@ -1289,37 +1221,34 @@ void RunTableSuite() {
   bench::Header("service", "sessions/sec: direct loop vs SyncService");
   std::printf("%-22s %10s %10s %8s\n", "workload", "direct/s", "service/s",
               "speedup");
-  IbltBatchOptions batch;
   for (int kind = 0; kind < 4; ++kind) {
     Workload w = MakeWorkload(2000, 48, 8, 2, static_cast<uint64_t>(21 + kind),
                               static_cast<SsrProtocolKind>(kind));
     DriverResult direct = RunDirect(w);
-    DriverResult service = RunService(w, batch, 1024);
+    DriverResult service = RunService(w, 1024);
     char name[64];
     std::snprintf(name, sizeof name, "pure %s",
                   SsrProtocolKindName(static_cast<SsrProtocolKind>(kind)));
-    PrintComparison(name, direct, service, 2000, batch);
+    PrintComparison(name, direct, service, 2000);
   }
   for (size_t sessions : {size_t{2000}}) {
     for (size_t children : {size_t{48}}) {
       Workload w = MakeWorkload(sessions, children, 8, 2, 11 + sessions);
       DriverResult direct = RunDirect(w);
       for (size_t window : {size_t{256}, size_t{1024}, size_t{0}}) {
-        DriverResult service = RunService(w, batch, window);
+        DriverResult service = RunService(w, window);
         char name[64];
         std::snprintf(name, sizeof name, "k=%zu s=%zu w=%zu", sessions,
                       children, window == 0 ? sessions : window);
-        PrintComparison(name, direct, service, sessions, batch);
+        PrintComparison(name, direct, service, sessions);
       }
     }
   }
   std::printf(
       "\nExpected shape: service >= direct for iblt2 and cascade (Alice-\n"
       "message memoization + pooled scratches; ~1.1-1.5x), ~1x for naive,\n"
-      "below 1x for multiround. Child encodings are written in place outside\n"
-      "the planner on both paths, so flushes carry only outer-table,\n"
-      "fingerprint and estimator updates and rarely reach the sharding\n"
-      "threshold.\n");
+      "below 1x for multiround. Both drivers build every sketch inline, so\n"
+      "the gap is memoization and scratch pooling alone.\n");
 }
 
 }  // namespace

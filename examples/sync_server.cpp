@@ -4,9 +4,9 @@
 //                   loopback sessions the way a server facing a client
 //                   fleet would — set-of-sets sessions (all four protocol
 //                   families) against one registered server set, stepped
-//                   round-by-round with sketch builds coalesced in the
-//                   cross-session batch planner, plus opaque graph /
-//                   forest / shingle sessions sharing the same scheduler.
+//                   round-by-round, each building its sketches inline,
+//                   plus opaque graph / forest / shingle sessions sharing
+//                   the same scheduler.
 //
 //  --listen=tcp:PORT | --listen=unix:PATH  [--serve=N] [--shards=K]
 //                   [--stats-every=N] [--trace-slow=MS] [--poller=KIND]
@@ -498,7 +498,7 @@ int RunLoopbackDemo() {
   }
 
   // --- Opaque sessions: graph, forest and shingle workloads share the
-  // scheduler (single-step sessions; no planner coalescing). ---
+  // scheduler (single-step sessions). ---
   SeparatedInstanceSpec graph_spec;
   graph_spec.seed = 5;
   Result<Graph> graph_base = MakeSeparatedGraph(graph_spec);
@@ -566,11 +566,6 @@ int RunLoopbackDemo() {
               seconds);
   std::printf("traffic: %zu bytes over %zu rounds\n", stats.total_bytes,
               stats.total_rounds);
-  std::printf("planner: %zu flushes, mean occupancy %.0f keys, max %zu "
-              "(sharded threshold %zu crossed %zu times)\n",
-              stats.flushes, stats.mean_flush_occupancy(),
-              stats.max_flush_keys, Iblt::batch_options().sharded_min_keys,
-              stats.sharded_flushes);
   std::printf("alice-message cache: %zu hits / %zu lookups\n",
               stats.cache_hits, stats.cache_hits + stats.cache_misses);
 

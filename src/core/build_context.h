@@ -20,18 +20,6 @@ namespace setrec {
 
 class ProtocolContext;
 
-/// Awaitable returned by ProtocolContext::FlushBuilds(). Under the inline
-/// context (blocking Reconcile) every queued op has already executed, so the
-/// barrier never suspends; under the service context it parks the session
-/// until the cross-session batch planner has applied the queued ops.
-struct BuildBarrier {
-  ProtocolContext* ctx;
-
-  bool await_ready() const noexcept;
-  void await_suspend(std::coroutine_handle<> handle) const;
-  void await_resume() const noexcept {}
-};
-
 /// Awaitable used by CachedAliceSend to serialize concurrent builders of
 /// the same memoized Alice message (anti-stampede request coalescing).
 /// await_resume is true when this coroutine acquired the build lease and
@@ -83,28 +71,26 @@ struct RecvAwaiter {
 /// The step/resume hook the protocol coroutines run against. One context
 /// serves exactly one reconciliation (it may be reused sequentially).
 ///
-/// The base class IS the inline implementation: queued sketch-build ops
-/// execute immediately, barriers and round yields never suspend, and the
+/// The base class IS the inline implementation: sketch builds run where the
+/// protocol asks for them, round yields never suspend, and the
 /// Alice-message cache is disabled — which makes the blocking Reconcile
 /// wrappers behave exactly like the pre-coroutine code. The SyncService
-/// session context overrides the virtuals to defer build ops into the
-/// cross-session batch planner, park the coroutine at barriers and round
-/// boundaries, and memoize Alice-side attempt messages across sessions that
-/// reconcile the same parent set under the same public coins.
+/// session context overrides the virtuals to park the coroutine at round
+/// boundaries and peer receives, and to memoize Alice-side attempt messages
+/// across sessions that reconcile the same parent set under the same public
+/// coins. Every context builds sketches inline.
 class ProtocolContext {
  public:
   virtual ~ProtocolContext() = default;
 
-  /// True when build ops are deferred to a planner (service mode).
+  /// True when round boundaries yield to a scheduler (service mode).
   virtual bool deferred() const { return false; }
 
-  // --- Deferred sketch-build work -------------------------------------
-  // Each Queue* op is semantically identical to the direct library call;
-  // deferring only changes WHEN it runs (before the next FlushBuilds
-  // barrier completes) and lets the planner coalesce ops from many
-  // sessions into one Iblt::ApplyOps pass. The key buffers must stay alive
-  // until the barrier completes — protocol coroutine locals are, because
-  // the frame is suspended, not destroyed.
+  // --- Inline sketch-build hooks --------------------------------------
+  // Each Queue* hook runs the direct library call on the spot; the table
+  // or estimator is fully updated when the hook returns. The hooks are
+  // virtual only so an instrumenting context (perfbench's LayerContext)
+  // can time sketch builds and estimator updates; no context defers them.
 
   virtual void QueueInsertU64(Iblt* table, const uint64_t* keys, size_t n) {
     table->InsertBatch(keys, n);
@@ -126,9 +112,6 @@ class ProtocolContext {
                                  size_t n, int side) {
     est->UpdateBatch(xs, n, side);
   }
-
-  /// Barrier: completes once every op queued above has been applied.
-  BuildBarrier FlushBuilds() { return BuildBarrier{this}; }
 
   /// Sends on the channel immediately and yields the round boundary; the
   /// awaited value is the message index (Channel::Send's return).
@@ -269,11 +252,8 @@ class ProtocolContext {
 
   // --- Service hooks (public so the awaitables can reach them) ---------
 
-  /// Any queued-but-unapplied ops? (Inline mode: never.)
-  virtual bool HasPendingOps() const { return false; }
-  /// Parks the coroutine until the planner flushes / the next round step.
-  /// Only called when deferred(); the inline context never suspends.
-  virtual void ParkOnFlush(std::coroutine_handle<> handle) { (void)handle; }
+  /// Parks the coroutine until the next round step. Only called when
+  /// deferred(); the inline context never suspends.
   virtual void ParkOnRound(std::coroutine_handle<> handle) { (void)handle; }
   /// Hook on every ctx->Send: transports mirror the message (the service
   /// forwards it as an endpoint frame) and parked receives are woken. The
@@ -311,12 +291,6 @@ inline bool BuildLeaseAwaiter::await_ready() noexcept {
 inline void BuildLeaseAwaiter::await_suspend(
     std::coroutine_handle<> handle) const {
   ctx->ParkOnLease(key, handle);
-}
-inline bool BuildBarrier::await_ready() const noexcept {
-  return !ctx->deferred() || !ctx->HasPendingOps();
-}
-inline void BuildBarrier::await_suspend(std::coroutine_handle<> handle) const {
-  ctx->ParkOnFlush(handle);
 }
 inline bool SendAwaiter::await_ready() const noexcept {
   return !ctx->deferred();

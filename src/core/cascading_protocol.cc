@@ -115,8 +115,8 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
 
   // Every child encoded into every level (and T*). One message, memoized
   // across sessions sharing Alice's set. Each level's child encodings are
-  // written in place into one packed buffer; only the outer-table updates
-  // run through the deferred planner passes. The wire codec is part of the
+  // written in place into one packed buffer, which is inserted into the
+  // level's outer table as one batch. The wire codec is part of the
   // key (dense/sparse sessions must not replay each other's bytes).
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
@@ -138,7 +138,6 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
       }
       Iblt outer(plan.outer_configs[level]);
       ctx->QueueInsertBytes(&outer, packed.data(), alice.size());
-      co_await ctx->FlushBuilds();
       outer.SerializeWith(params_.wire_codec, writer);
     }
     if (plan.has_star) {
@@ -149,7 +148,6 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
       }
       Iblt star(plan.star_config);
       ctx->QueueInsertBytes(&star, packed.data(), alice.size());
-      co_await ctx->FlushBuilds();
       star.SerializeWith(params_.wire_codec, writer);
     }
     co_return Status::Ok();
@@ -247,7 +245,6 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       erase_out += blob_width;
     }
     ctx->QueueEraseBytes(&outer, erase_packed.data(), erase_count);
-    co_await ctx->FlushBuilds();
 
     std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
     for (size_t j = 0; j < bob.size(); ++j) {
@@ -306,7 +303,6 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       WriteChildBlob(child, h, star_packed.data() + j * blob_width);
     }
     ctx->QueueEraseBytes(&star, star_packed.data(), bob.size() + da.size());
-    co_await ctx->FlushBuilds();
     std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
     for (size_t j = 0; j < bob.size(); ++j) {
       blob_to_child.emplace(

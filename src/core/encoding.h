@@ -49,9 +49,9 @@ struct ChildEncoding {
 
 /// Writes the (child IBLT, hash) encoding of Algorithms 1 and 2 to `out`
 /// (ChildIbltBlobWidth bytes): the child's elements in a fixed-width IBLT
-/// with `child_config`, then its fingerprint. No table is built, so the
+/// with `child_config`, then its fingerprint. No table is built: the
 /// protocols write each level's encodings in place into one packed buffer
-/// outside the service planner; only the outer-table update goes through it.
+/// and insert that buffer into the outer table as one batch.
 void WriteChildIbltBlob(const ChildSet& child, const IbltConfig& child_config,
                         uint64_t fingerprint, uint8_t* out);
 

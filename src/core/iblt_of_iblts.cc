@@ -45,9 +45,8 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
 
   // Encode every child, insert encodings into the outer table. Each child's
   // (IBLT, fingerprint) encoding is written in place into one packed buffer
-  // (no per-child table, no planner op); only the outer-table update runs
-  // through the deferred planner pass. The whole message is memoized across
-  // sessions sharing Alice's set.
+  // (no per-child table), then inserted into the outer table as one batch.
+  // The whole message is memoized across sessions sharing Alice's set.
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
       {kAttemptTag, d, d_hat, seed,
@@ -62,7 +61,6 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
     }
     Iblt outer(configs.outer);
     ctx->QueueInsertBytes(&outer, packed.data(), alice.size());
-    co_await ctx->FlushBuilds();
     writer->PutU64(ParentFingerprint(alice, fp_family));
     outer.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
@@ -114,7 +112,6 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
                        bob_packed.data() + i * blob_width);
   }
   ctx->QueueEraseBytes(&remote, bob_packed.data(), bob.size());
-  co_await ctx->FlushBuilds();
 
   // Bob's encodings keyed by blob so decoded negatives map back to his
   // concrete child sets; probed with decode views via the transparent

@@ -79,7 +79,6 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
     if (carry_d_hat) writer->PutVarint(d_hat);
     Iblt ta(fp_config);
     ctx->QueueInsertU64(&ta, alice_fps.data(), alice_fps.size());
-    co_await ctx->FlushBuilds();
     writer->PutU64(ParentFingerprint(alice, fp_family));
     ta.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
@@ -199,8 +198,7 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
       known_d.has_value() ? std::max<size_t>(*known_d, 1)
                           : std::max<size_t>(total_estimated, 1)));
 
-  // Phase 1: pick modes, build the O(d) IBLT payload sketches (inline —
-  // below the coalescing grain).
+  // Phase 1: pick modes, build the O(d) IBLT payload sketches.
   std::vector<Iblt> iblt_payloads;
   iblt_payloads.reserve(plans.size());
   for (Plan& plan : plans) {
@@ -334,7 +332,6 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
         VerificationFailure("mr: duplicate child fingerprint (Bob)"), next);
   }
   ctx->QueueEraseU64(&fp_diff, bob_fps.data(), bob_fps.size());
-  co_await ctx->FlushBuilds();
   Result<IbltDecodeResult64> fp_decoded = fp_diff.DecodeU64(scratch);
   if (!fp_decoded.ok()) {
     co_return co_await SendVerdict(ctx, channel, Party::kBob,
@@ -346,9 +343,7 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
   std::sort(bob_diff_fps.begin(), bob_diff_fps.end());
 
   // ---- Round 2: both difference lists plus per-child element estimators
-  // for Bob's differing children. The per-child updates run inline: they
-  // are O(d) tiny jobs, below any useful coalescing grain (unlike the
-  // O(s)-key table builds above). ----
+  // for Bob's differing children (O(d) small estimator updates). ----
   std::vector<size_t> bob_diff_children;
   std::vector<L0Estimator> bob_diff_ests;
   bob_diff_ests.reserve(bob_diff_fps.size());
@@ -560,7 +555,6 @@ Task<Status> MultiRoundProtocol::ReconcileAsyncAlice(
       alice_fps0.push_back(ChildFingerprint(child, fp_family));
     }
     ctx->QueueL0Update(&alice_est, alice_fps0.data(), alice_fps0.size(), 1);
-    co_await ctx->FlushBuilds();
     if (Status s = merged.Merge(alice_est); !s.ok()) {
       co_return co_await SendAbort(ctx, channel, Party::kAlice, s);
     }
@@ -626,7 +620,6 @@ Task<Result<SsrOutcome>> MultiRoundProtocol::ReconcileAsyncBob(
       bob_fps0.push_back(ChildFingerprint(child, fp_family));
     }
     ctx->QueueL0Update(&bob_est, bob_fps0.data(), bob_fps0.size(), 2);
-    co_await ctx->FlushBuilds();
     ByteWriter writer;
     bob_est.Serialize(&writer);
     size_t index = co_await ctx->Send(channel, Party::kBob, writer.Take(),

@@ -62,7 +62,6 @@ Task<Status> NaiveProtocol::AttemptAlice(const SetOfSets& alice, size_t d_hat,
     Iblt table(config);
     std::vector<uint8_t> packed = PackChildBlobs(alice, h);
     ctx->QueueInsertBytes(&table, packed.data(), alice.size());
-    co_await ctx->FlushBuilds();
     writer->PutU64(ParentFingerprint(alice, fp_family));
     table.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
@@ -112,7 +111,6 @@ Task<Result<SetOfSets>> NaiveProtocol::AttemptBob(
   Iblt remote = std::move(received).value();
   std::vector<uint8_t> bob_packed = PackChildBlobs(bob, h);
   ctx->QueueEraseBytes(&remote, bob_packed.data(), bob.size());
-  co_await ctx->FlushBuilds();
 
   // The decoded entries are views into the pooled scratch arena; they stay
   // valid for the rest of this attempt (no suspension or further decode
@@ -195,7 +193,6 @@ Task<Status> NaiveProtocol::ReconcileAsyncAlice(const SetOfSets& alice,
       alice_fps.push_back(ChildFingerprint(child, child_fp_family));
     }
     ctx->QueueL0Update(&alice_est, alice_fps.data(), alice_fps.size(), 1);
-    co_await ctx->FlushBuilds();
     if (Status s = merged.Merge(alice_est); !s.ok()) {
       co_return co_await SendAbort(ctx, channel, Party::kAlice, s);
     }
@@ -270,7 +267,6 @@ Task<Result<SsrOutcome>> NaiveProtocol::ReconcileAsyncBob(
       bob_fps.push_back(ChildFingerprint(child, child_fp_family));
     }
     ctx->QueueL0Update(&bob_est, bob_fps.data(), bob_fps.size(), 2);
-    co_await ctx->FlushBuilds();
     ByteWriter writer;
     bob_est.Serialize(&writer);
     size_t index = co_await ctx->Send(channel, Party::kBob, writer.Take(),

@@ -23,7 +23,8 @@ namespace setrec {
 /// (benches, the future multi-core scheduler) each recycle their own frames
 /// with no synchronization. A frame allocated on one thread must be freed on
 /// the same thread — true today because protocol coroutines never migrate
-/// (planner workers only run batched cell updates, never coroutines).
+/// (the only worker threads, InsertBatch's large-batch shards, run cell
+/// updates, never coroutines).
 class CoroFramePool {
  public:
   /// Size classes are 64-byte steps up to 16 KiB; larger frames fall through
@@ -121,9 +122,10 @@ class CoroFramePool {
 ///    destruction. A task must not be awaited twice.
 ///
 /// Protocol coroutines only ever suspend inside ProtocolContext awaitables
-/// (round yields and build barriers). Under the InlineContext those
-/// awaitables are always ready, so a Start() runs the whole pipeline to
-/// completion synchronously — that is how the blocking Reconcile wrappers
+/// (round yields, peer receives and build leases). Under the InlineContext
+/// round yields and leases are always ready and a parked receive is resumed
+/// by the peer's send, so a Start() runs the whole pipeline to completion
+/// synchronously — that is how the blocking Reconcile wrappers
 /// drive the exact same code path the SyncService steps incrementally.
 template <typename T>
 class [[nodiscard]] Task {

@@ -98,7 +98,6 @@ size_t CellIndex(uint64_t bucket_hash, int index, size_t cells_per_hash,
 }  // namespace
 
 int Iblt::sharded_workers_for_test = 0;
-IbltBatchOptions Iblt::batch_options_;
 
 IbltConfig IbltConfig::ForDifference(size_t diff, uint64_t seed,
                                      size_t key_width, int num_hashes) {
@@ -154,22 +153,22 @@ void Iblt::EraseU64(uint64_t key) {
 }
 
 void Iblt::InsertBatch(const uint64_t* keys, size_t n) {
-  ApplyBatchU64(keys, n, +1, batch_options_);
+  ApplyBatchU64(keys, n, +1);
 }
 void Iblt::InsertBatch(const std::vector<uint64_t>& keys) {
-  ApplyBatchU64(keys.data(), keys.size(), +1, batch_options_);
+  ApplyBatchU64(keys.data(), keys.size(), +1);
 }
 void Iblt::InsertBatch(const uint8_t* keys, size_t n) {
-  ApplyBatchBytes(keys, n, +1, batch_options_);
+  ApplyBatchBytes(keys, n, +1);
 }
 void Iblt::EraseBatch(const uint64_t* keys, size_t n) {
-  ApplyBatchU64(keys, n, -1, batch_options_);
+  ApplyBatchU64(keys, n, -1);
 }
 void Iblt::EraseBatch(const std::vector<uint64_t>& keys) {
-  ApplyBatchU64(keys.data(), keys.size(), -1, batch_options_);
+  ApplyBatchU64(keys.data(), keys.size(), -1);
 }
 void Iblt::EraseBatch(const uint8_t* keys, size_t n) {
-  ApplyBatchBytes(keys, n, -1, batch_options_);
+  ApplyBatchBytes(keys, n, -1);
 }
 
 // LINT(alloc-free) — per-(key, hash) math on the peel and child-encoding
@@ -260,30 +259,27 @@ void Iblt::ApplyPartitionRange(const KeyHashes* hashes,
 
 namespace {
 
-/// Resolved worker count for a sharded pass over partitions of up to
-/// `max_partitions` per table, honoring the runtime options and the
-/// deterministic test hook.
-int ShardedWorkerCount(int max_partitions, const IbltBatchOptions& options) {
-  int cap = options.max_workers > 0
-                ? options.max_workers
-                : static_cast<int>(
-                      std::max<unsigned>(1, std::thread::hardware_concurrency()));
-  if (Iblt::sharded_workers_for_test > 0) {
-    cap = Iblt::sharded_workers_for_test;
-  }
-  return std::min(max_partitions, cap);
+/// Worker count for a sharded pass over `partitions` partitions: one per
+/// hardware thread, or the deterministic test hook when set.
+int ShardedWorkerCount(int partitions) {
+  const int cap =
+      Iblt::sharded_workers_for_test > 0
+          ? Iblt::sharded_workers_for_test
+          : static_cast<int>(
+                std::max<unsigned>(1, std::thread::hardware_concurrency()));
+  return std::min(partitions, cap);
 }
 
 }  // namespace
 
 void Iblt::ApplyHashedBatch(const KeyHashes* hashes, const uint64_t* u64_keys,
-                            const uint8_t* byte_keys, size_t n, int32_t delta,
-                            const IbltBatchOptions& options) {
+                            const uint8_t* byte_keys, size_t n,
+                            int32_t delta) {
   const int k = config_.num_hashes;
-  if (n >= options.sharded_min_keys && k > 1) {
+  if (n >= kShardedBatchMinKeys && k > 1) {
     // Partitions are disjoint cell ranges: shard them across threads with no
     // synchronization. The result is identical to the serial order.
-    int workers = ShardedWorkerCount(k, options);
+    const int workers = ShardedWorkerCount(k);
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(workers - 1));
     for (int t = 1; t < workers; ++t) {
@@ -298,83 +294,7 @@ void Iblt::ApplyHashedBatch(const KeyHashes* hashes, const uint64_t* u64_keys,
   ApplyPartitionRange(hashes, u64_keys, byte_keys, n, delta, 0, 1);
 }
 
-void Iblt::ApplyOps(const ApplyOp* ops, size_t count,
-                    const IbltBatchOptions& options, ApplyScratch* scratch) {
-  size_t total = 0;
-  int max_hashes = 1;
-  for (size_t i = 0; i < count; ++i) {
-    total += ops[i].n;
-    max_hashes = std::max(max_hashes, ops[i].table->config_.num_hashes);
-  }
-  if (total == 0) return;
-
-  const int workers = total >= options.sharded_min_keys
-                          ? ShardedWorkerCount(max_hashes, options)
-                          : 1;
-  if (workers <= 1) {
-    // Serial pass: stream op by op through the regular batch path, whose
-    // small-batch hashes live in a stack buffer — the same cache-resident
-    // footprint as issuing the ops directly. Staging every hash of a large
-    // coalesced pass up front would trade that locality for nothing when
-    // there is no worker to share the staging with.
-    for (size_t i = 0; i < count; ++i) {
-      const ApplyOp& op = ops[i];
-      if (op.u64_keys != nullptr) {
-        op.table->ApplyBatchU64(op.u64_keys, op.n, op.delta, options);
-      } else {
-        op.table->ApplyBatchBytes(op.byte_keys, op.n, op.delta, options);
-      }
-    }
-    return;
-  }
-
-  // Sharded pass: hash every key of every op once into the shared staging
-  // area, then let worker t apply partition indices {t, t+W, ...} of every
-  // op. Each (table, partition) cell range has exactly one writer and ops
-  // on the same table apply in op order — bit-identical to the serial pass
-  // regardless of W. Two ops naming the same table are fine for the same
-  // reason.
-  scratch->offsets.clear();
-  size_t offset = 0;
-  for (size_t i = 0; i < count; ++i) {
-    scratch->offsets.push_back(offset);
-    offset += ops[i].n;
-  }
-  scratch->hashes.resize(total);
-  for (size_t i = 0; i < count; ++i) {
-    const ApplyOp& op = ops[i];
-    KeyHashes* out = scratch->hashes.data() + scratch->offsets[i];
-    if (op.u64_keys != nullptr) {
-      for (size_t j = 0; j < op.n; ++j) {
-        out[j] = op.table->HashKeyU64(op.u64_keys[j]);
-      }
-    } else {
-      const size_t w = op.table->config_.key_width;
-      for (size_t j = 0; j < op.n; ++j) {
-        out[j] = op.table->HashKey(op.byte_keys + j * w);
-      }
-    }
-  }
-  auto run_slice = [&](int first_index) {
-    for (size_t i = 0; i < count; ++i) {
-      const ApplyOp& op = ops[i];
-      op.table->ApplyPartitionRange(scratch->hashes.data() +
-                                        scratch->offsets[i],
-                                    op.u64_keys, op.byte_keys, op.n, op.delta,
-                                    first_index, workers);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(workers - 1));
-  for (int t = 1; t < workers; ++t) {
-    threads.emplace_back(run_slice, t);
-  }
-  run_slice(0);
-  for (std::thread& t : threads) t.join();
-}
-
-void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
-                         const IbltBatchOptions& options) {
+void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta) {
   assert(config_.key_width == 8);
   if (n == 0) return;
   // Small batches hash into a stack buffer so batched updates stay
@@ -384,11 +304,10 @@ void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
   KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes
                                               : heap_hashes.data();
   for (size_t j = 0; j < n; ++j) hashes[j] = HashKeyU64(keys[j]);
-  ApplyHashedBatch(hashes, keys, nullptr, n, delta, options);
+  ApplyHashedBatch(hashes, keys, nullptr, n, delta);
 }
 
-void Iblt::ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta,
-                           const IbltBatchOptions& options) {
+void Iblt::ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta) {
   if (n == 0) return;
   KeyHashes stack_hashes[kSmallBatchMaxKeys];
   std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
@@ -397,7 +316,7 @@ void Iblt::ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta,
   for (size_t j = 0; j < n; ++j) {
     hashes[j] = HashKey(keys + j * config_.key_width);
   }
-  ApplyHashedBatch(hashes, nullptr, keys, n, delta, options);
+  ApplyHashedBatch(hashes, nullptr, keys, n, delta);
 }
 
 Status Iblt::Subtract(const Iblt& other) {

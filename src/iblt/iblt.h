@@ -44,10 +44,6 @@ struct IbltConfig {
   bool operator==(const IbltConfig&) const = default;
 };
 
-/// Compiled-in default for IbltBatchOptions::sharded_min_keys (also
-/// exposed as Iblt::kShardedBatchMinKeys).
-inline constexpr size_t kShardedBatchMinKeysDefault = 1u << 16;
-
 /// Which wire encoding a protocol uses for the IBLT tables it sends. A
 /// WIRE-layer concern only: in-memory tables are identical under every
 /// codec, and both parties must agree on the codec before the first table
@@ -64,20 +60,6 @@ inline constexpr size_t kShardedBatchMinKeysDefault = 1u << 16;
 ///    when the sparse form would be larger, so incompressible tables —
 ///    8-byte checksums are uniformly random — never expand.
 enum class WireCodec : uint8_t { kDense = 0, kSparse = 1 };
-
-/// Runtime tuning for batched cell updates (InsertBatch/EraseBatch and the
-/// multi-table Iblt::ApplyOps pass). A process-wide default is held by
-/// Iblt::batch_options()/set_batch_options(); callers that want different
-/// behavior per pass (the service batch planner, threshold sweeps in
-/// benches) pass their own instance to ApplyOps.
-struct IbltBatchOptions {
-  /// Total keys in a pass at or above which cell updates are sharded across
-  /// std::thread workers (partitions are disjoint cell ranges, so sharding
-  /// is synchronization-free and deterministic).
-  size_t sharded_min_keys = kShardedBatchMinKeysDefault;
-  /// Worker cap for sharded passes; 0 = std::thread::hardware_concurrency().
-  int max_workers = 0;
-};
 
 /// Result of peeling an IBLT (or a subtracted pair of IBLTs): the keys with
 /// positive counts and the keys with negative counts. For Alice's table
@@ -264,9 +246,8 @@ struct DecodeScratch {
 /// little-endian keys and require key_width == 8.
 class Iblt {
  public:
-  /// Both per-key hashes, each computed exactly once per key. Public so
-  /// multi-table batch passes (ApplyOps) can stage hashes in caller-owned
-  /// scratch buffers.
+  /// Both per-key hashes, each computed exactly once per key. Public so the
+  /// file-local hashing helpers in iblt.cc can return it.
   struct KeyHashes {
     uint64_t bucket;
     uint64_t check;
@@ -292,11 +273,13 @@ class Iblt {
   /// cells, then partition-1, ...), which keeps each pass inside one
   /// contiguous m/k-cell window of the arrays. Blocks of at least
   /// kShardedBatchMinKeys keys on multi-hash tables are applied by
-  /// std::thread workers sharded over partitions (partitions are disjoint
-  /// cell ranges, so no synchronization is needed and the result is
-  /// deterministic). Requires key_width == 8 for the u64 overloads; the
-  /// byte overloads take `n` keys packed contiguously at key_width bytes
-  /// each. Result is identical to n single-key Insert/Erase calls.
+  /// min(k, hardware_concurrency) std::thread workers sharded over
+  /// partitions (partitions are disjoint cell ranges, so no synchronization
+  /// is needed and the result is deterministic); the workers are joined
+  /// before the call returns. Requires key_width == 8 for the u64
+  /// overloads; the byte overloads take `n` keys packed contiguously at
+  /// key_width bytes each. Result is identical to n single-key
+  /// Insert/Erase calls.
   void InsertBatch(const uint64_t* keys, size_t n);
   void InsertBatch(const std::vector<uint64_t>& keys);
   void InsertBatch(const uint8_t* keys, size_t n);
@@ -394,50 +377,10 @@ class Iblt {
   static void WriteFixedU64(const IbltConfig& config, const uint64_t* keys,
                             size_t n, uint8_t* out);
 
-  /// One deferred batch op of a multi-table pass: insert (delta=+1) or
-  /// erase (delta=-1) `n` keys into `table`. Exactly one of u64_keys /
-  /// byte_keys is set; byte keys are packed at table->config().key_width
-  /// bytes each.
-  struct ApplyOp {
-    Iblt* table = nullptr;
-    const uint64_t* u64_keys = nullptr;
-    const uint8_t* byte_keys = nullptr;
-    size_t n = 0;
-    int32_t delta = +1;
-  };
-
-  /// Reusable hash staging for ApplyOps; warms up like DecodeScratch.
-  struct ApplyScratch {
-    std::vector<KeyHashes> hashes;
-    std::vector<size_t> offsets;
-  };
-
-  /// Applies a block of batch ops — typically gathered from many
-  /// reconciliation sessions by the service batch planner — as one
-  /// coalesced pass. All keys are hashed first (into `scratch`), then cell
-  /// updates run grouped by partition across every op. When the TOTAL key
-  /// count across ops reaches options.sharded_min_keys, partitions are
-  /// sharded over std::thread workers: worker t applies partition indices
-  /// {t, t+W, ...} of every op, so each (table, partition) — a disjoint
-  /// cell range — is touched by exactly one worker, in op order. The result
-  /// is bit-identical to applying the ops sequentially, for any worker
-  /// count. This is how sub-threshold per-session batches cross the
-  /// sharding threshold when coalesced (the cross-session balls-into-bins
-  /// regime).
-  static void ApplyOps(const ApplyOp* ops, size_t count,
-                       const IbltBatchOptions& options, ApplyScratch* scratch);
-
-  /// Process-wide defaults consulted by InsertBatch/EraseBatch (and by
-  /// ApplyOps callers that do not carry their own options). Runtime-tunable
-  /// so benches and the service planner can sweep the sharding threshold
-  /// without recompiling. Not synchronized: set before spawning threads.
-  static const IbltBatchOptions& batch_options() { return batch_options_; }
-  static void set_batch_options(const IbltBatchOptions& options) {
-    batch_options_ = options;
-  }
-
-  /// Compiled-in default for IbltBatchOptions::sharded_min_keys.
-  static constexpr size_t kShardedBatchMinKeys = kShardedBatchMinKeysDefault;
+  /// Batch size at or above which InsertBatch/EraseBatch shard cell
+  /// updates across worker threads. A compile-time constant: the branch is
+  /// chosen by the size of the batch in hand, which only the caller knows.
+  static constexpr size_t kShardedBatchMinKeys = size_t{1} << 16;
 
   /// Batches up to this size hash into a stack buffer (16 bytes per key)
   /// instead of a heap vector, keeping small batched updates — estimator
@@ -483,16 +426,10 @@ class Iblt {
     return reinterpret_cast<const uint8_t*>(CellLanes(cell));
   }
 
-  /// The batch-apply internals take the options explicitly so a coalesced
-  /// multi-table pass (ApplyOps) governs its sub-batches with ITS options;
-  /// the public InsertBatch/EraseBatch entry points pass batch_options_.
-  void ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
-                     const IbltBatchOptions& options);
-  void ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta,
-                       const IbltBatchOptions& options);
+  void ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta);
+  void ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta);
   void ApplyHashedBatch(const KeyHashes* hashes, const uint64_t* u64_keys,
-                        const uint8_t* byte_keys, size_t n, int32_t delta,
-                        const IbltBatchOptions& options);
+                        const uint8_t* byte_keys, size_t n, int32_t delta);
   void ApplyPartitionRange(const KeyHashes* hashes, const uint64_t* u64_keys,
                            const uint8_t* byte_keys, size_t n, int32_t delta,
                            int first_index, int index_step);
@@ -504,8 +441,6 @@ class Iblt {
   /// Builds the IbltKeyView arrays over scratch->out_lanes after a byte-mode
   /// peel (deferred so arena growth during the peel cannot dangle views).
   IbltDecodeView BuildViews(DecodeScratch* scratch) const;
-
-  static IbltBatchOptions batch_options_;
 
   IbltConfig config_;
   size_t cells_;           // Padded cell count.

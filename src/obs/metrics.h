@@ -8,14 +8,13 @@
 namespace setrec::obs {
 
 /// Fixed-bucket log-linear histogram (HDR-style), sized for nanosecond
-/// latencies but usable for any uint64 value distribution (the planner also
-/// records flush occupancy in keys). Layout: values below 8 get exact unit
-/// buckets; above that each power-of-two octave is split into 4 sub-buckets,
-/// so consecutive bucket bounds differ by at most 25% — quantiles read back
-/// from the histogram land within one bucket of the exact sorted-sample
-/// answer (pinned by tests/obs_metrics_test.cc). 256 buckets cover the full
-/// uint64 range in 2 KiB, so a registry full of histograms is cheap enough
-/// to embed per shard.
+/// latencies but usable for any uint64 value distribution. Layout: values
+/// below 8 get exact unit buckets; above that each power-of-two octave is
+/// split into 4 sub-buckets, so consecutive bucket bounds differ by at most
+/// 25% — quantiles read back from the histogram land within one bucket of
+/// the exact sorted-sample answer (pinned by tests/obs_metrics_test.cc).
+/// 256 buckets cover the full uint64 range in 2 KiB, so a registry full of
+/// histograms is cheap enough to embed per shard.
 ///
 /// Threading: same single-writer discipline as ServiceStats — plain
 /// integers, written only by the owning shard's driver thread; cross-thread
@@ -94,8 +93,9 @@ struct MetricRegistry {
   LatencyHistogram opaque_session_latency;
   /// Time between consecutive round boundaries (Send parks) of a session.
   LatencyHistogram round_latency[kProtocolKinds][kWireCodecs];
-  /// Planner flush: wall time of one FlushPlanner pass, and its occupancy
-  /// (total keys across the batched IBLT ops) in keys, not nanoseconds.
+  /// Build-planner flush latency and occupancy. Sessions build their
+  /// sketches inline and nothing records these, so they stay empty; they
+  /// keep their place in the STAT? v2 exposition until a v3 retires them.
   LatencyHistogram flush_latency;
   LatencyHistogram flush_occupancy;
   /// Build-lease contention in SharedServiceCache: how long a parked session

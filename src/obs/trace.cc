@@ -8,7 +8,6 @@ const char* TracePhaseName(TracePhase phase) {
   switch (phase) {
     case TracePhase::kSession: return "session";
     case TracePhase::kRoundWait: return "round-wait";
-    case TracePhase::kFlushWait: return "flush-wait";
     case TracePhase::kLeaseWait: return "lease-wait";
     case TracePhase::kRecvWait: return "recv-wait";
     case TracePhase::kConnect: return "connect";

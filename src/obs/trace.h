@@ -13,13 +13,12 @@
 namespace setrec::obs {
 
 /// Phases a session passes through. Enter/exit pairs of the same phase
-/// nest to form the session's span tree. The first five are recorded by a
+/// nest to form the session's span tree. The first four are recorded by a
 /// shard's driver; the last four are client-side (stream_party) so a
 /// traced session's two halves decompose its wall clock together.
 enum class TracePhase : uint8_t {
   kSession = 0,   ///< StartSession -> FinalizeSession (or client wall).
   kRoundWait,     ///< Parked on a round boundary (Send deferred).
-  kFlushWait,     ///< Parked on the planner's build barrier.
   kLeaseWait,     ///< Parked on a SharedServiceCache build lease.
   kRecvWait,      ///< Parked waiting for a remote frame / blocking read.
   kConnect,       ///< Client: connect(2) until the socket is up.
@@ -28,7 +27,7 @@ enum class TracePhase : uint8_t {
   kCompute,       ///< Client: running protocol code between wire waits.
 };
 
-inline constexpr int kTracePhaseCount = 9;
+inline constexpr int kTracePhaseCount = 8;
 
 const char* TracePhaseName(TracePhase phase);
 

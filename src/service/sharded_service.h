@@ -19,7 +19,7 @@ namespace setrec {
 struct ShardedSyncServiceOptions {
   /// Number of service shards; 0 = std::thread::hardware_concurrency().
   size_t shards = 0;
-  /// Per-shard scheduling/planner options (each shard gets a copy).
+  /// Per-shard scheduling options (each shard gets a copy).
   SyncServiceOptions service;
   /// Options for the one SharedServiceCache all shards memoize through.
   SharedCacheOptions cache;
@@ -31,7 +31,7 @@ struct ShardedSyncServiceOptions {
 };
 
 /// N independent SyncService shards behind one facade: each shard owns its
-/// planner, scheduler queues, decode scratch pool and coroutine frames, and
+/// scheduler queues, decode scratch pool and coroutine frames, and
 /// is driven by exactly ONE thread; sessions hash to shards by session id.
 /// Cross-shard traffic — shard-routed submissions, remote frames, cancels,
 /// and build-lease wakes — travels through each shard's lock-free MPSC

@@ -94,10 +94,9 @@ uint64_t HashTranscript(const Channel& channel) {
   return h;
 }
 
-/// The per-session ProtocolContext: routes build ops into the service's
-/// planner queues, parks the session coroutines at barriers, round
-/// boundaries and peer receives, and exposes the shared cache/scratch
-/// pools.
+/// The per-session ProtocolContext: parks the session coroutines at round
+/// boundaries, peer receives and build leases, and exposes the shared
+/// cache/scratch pools. Sketch builds keep the base class's inline hooks.
 class SyncService::SessionContext final : public ProtocolContext {
  public:
   SessionContext() = default;
@@ -107,23 +106,6 @@ class SyncService::SessionContext final : public ProtocolContext {
   }
 
   bool deferred() const override { return true; }
-
-  void QueueInsertU64(Iblt* table, const uint64_t* keys, size_t n) override {
-    QueueIbltOp({table, keys, nullptr, n, +1});
-  }
-  void QueueEraseU64(Iblt* table, const uint64_t* keys, size_t n) override {
-    QueueIbltOp({table, keys, nullptr, n, -1});
-  }
-  void QueueInsertBytes(Iblt* table, const uint8_t* keys, size_t n) override {
-    QueueIbltOp({table, nullptr, keys, n, +1});
-  }
-  void QueueEraseBytes(Iblt* table, const uint8_t* keys, size_t n) override {
-    QueueIbltOp({table, nullptr, keys, n, -1});
-  }
-  void QueueL0Update(L0Estimator* est, const uint64_t* xs, size_t n,
-                     int side) override;
-  void QueueStrataUpdate(StrataEstimator* est, const uint64_t* xs, size_t n,
-                         int side) override;
 
   uint64_t SetIdentity(const void* parent_set) override {
     return service_->IdentityOf(parent_set);
@@ -177,8 +159,6 @@ class SyncService::SessionContext final : public ProtocolContext {
     return parsed;
   }
 
-  bool HasPendingOps() const override;
-  void ParkOnFlush(std::coroutine_handle<> handle) override;
   void ParkOnRound(std::coroutine_handle<> handle) override;
   void OnSend(Channel* channel, size_t index) override;
   bool TryAcquireBuildLease(uint64_t key) override;
@@ -194,8 +174,6 @@ class SyncService::SessionContext final : public ProtocolContext {
   void OnRetryRound() override { ++service_->metrics_.retry_rounds; }
 
  private:
-  void QueueIbltOp(Iblt::ApplyOp op);
-
   SyncService* service_ = nullptr;
   Session* session_ = nullptr;
 };
@@ -212,8 +190,6 @@ struct SyncService::Session {
   SessionContext ctx;
   Task<Result<SsrOutcome>> task;
   bool started = false;
-  /// Planner ops queued by this session since the last flush.
-  size_t ops_pending = 0;
   /// Observability state (src/obs/): all timestamps are 0 when metrics and
   /// tracing are off, so recording sites can gate on them.
   uint64_t start_ns = 0;       ///< StartSession timestamp.
@@ -248,45 +224,11 @@ Task<Result<SsrOutcome>> RunAliceHalfSession(
 
 }  // namespace
 
-void SyncService::SessionContext::QueueIbltOp(Iblt::ApplyOp op) {
-  if (op.n == 0) return;
-  service_->iblt_ops_.push_back(op);
-  ++session_->ops_pending;
-}
-
-void SyncService::SessionContext::QueueL0Update(L0Estimator* est,
-                                                const uint64_t* xs, size_t n,
-                                                int side) {
-  if (n == 0) return;
-  service_->estimator_jobs_.push_back({est, nullptr, xs, n, side});
-  ++session_->ops_pending;
-}
-
-void SyncService::SessionContext::QueueStrataUpdate(StrataEstimator* est,
-                                                    const uint64_t* xs,
-                                                    size_t n, int side) {
-  if (n == 0) return;
-  service_->estimator_jobs_.push_back({nullptr, est, xs, n, side});
-  ++session_->ops_pending;
-}
-
 uint64_t SyncService::SessionContext::PeerSetIdentity() {
   // The Bob-side cache keys mirror Alice's, which hash her set identity;
   // only sessions that actually hold a registered Alice set resolve it.
   if (session_->spec.alice == nullptr) return 0;
   return service_->IdentityOf(session_->spec.alice.get());
-}
-
-bool SyncService::SessionContext::HasPendingOps() const {
-  return session_->ops_pending > 0;
-}
-
-void SyncService::SessionContext::ParkOnFlush(std::coroutine_handle<> handle) {
-  if (service_->tracer_.armed()) {
-    service_->tracer_.Record(session_->id, obs::TracePhase::kFlushWait, true,
-                             obs::NowNanos(), session_->spec.trace_id);
-  }
-  service_->flush_waiters_.push_back(ParkedCoro{session_, handle});
 }
 
 void SyncService::SessionContext::ParkOnRound(std::coroutine_handle<> handle) {
@@ -625,9 +567,8 @@ bool SyncService::CancelSession(uint64_t id, Status reason) {
   // Between Steps a session's coroutines are parked at round boundaries,
   // receives, or — since cross-shard build leases — a lease wait whose
   // release comes from ANOTHER shard in a later Step. Purge all of them so
-  // destroying the frames leaves no dangling handle behind (flush queues
-  // are still drained within Step; a lease wake for a purged waiter then
-  // finds nothing and is a no-op).
+  // destroying the frames leaves no dangling handle behind (a lease wake
+  // for a purged waiter then finds nothing and is a no-op).
   auto drop = [session](std::deque<ParkedCoro>* queue) {
     queue->erase(std::remove_if(queue->begin(), queue->end(),
                                 [session](const ParkedCoro& parked) {
@@ -855,7 +796,6 @@ void SyncService::FinalizeSession(Session* session,
     finished->spec = SessionSpec{};
     finished->channel.Reset();
     finished->started = false;
-    finished->ops_pending = 0;
     finished->start_ns = 0;
     finished->last_round_ns = 0;
     finished->lease_park_ns = 0;
@@ -863,52 +803,6 @@ void SyncService::FinalizeSession(Session* session,
     finished->kind_idx = 0;
     finished->codec_idx = 0;
     session_pool_.push_back(std::move(finished));
-  }
-}
-
-void SyncService::FlushPlanner() {
-  ++stats_.flushes;
-  const uint64_t flush_start = options_.metrics ? obs::NowNanos() : 0;
-  size_t total_keys = 0;
-  for (const Iblt::ApplyOp& op : iblt_ops_) total_keys += op.n;
-  stats_.flushed_keys += total_keys;
-  if (total_keys > stats_.max_flush_keys) stats_.max_flush_keys = total_keys;
-  if (total_keys >= options_.batch.sharded_min_keys) ++stats_.sharded_flushes;
-
-  if (!iblt_ops_.empty()) {
-    Iblt::ApplyOps(iblt_ops_.data(), iblt_ops_.size(), options_.batch,
-                   &apply_scratch_);
-    iblt_ops_.clear();
-  }
-  for (const EstimatorJob& job : estimator_jobs_) {
-    if (job.l0 != nullptr) {
-      job.l0->UpdateBatch(job.xs, job.n, job.side);
-    } else {
-      job.strata->UpdateBatch(job.xs, job.n, job.side);
-    }
-  }
-  stats_.estimator_jobs += estimator_jobs_.size();
-  estimator_jobs_.clear();
-  if (flush_start != 0) {
-    // Latency of the coalesced apply itself; the scatter-back below runs
-    // arbitrary protocol code and would swamp the planner signal.
-    metrics_.flush_latency.Record(obs::NowNanos() - flush_start);
-    metrics_.flush_occupancy.Record(total_keys);
-  }
-
-  // Scatter-back: every parked coroutine's sketches are now built; resume
-  // them in park order. Resumed coroutines may queue a next build phase
-  // (handled by the caller's flush loop) or park at a round boundary.
-  std::deque<ParkedCoro> waiters = std::move(flush_waiters_);
-  flush_waiters_.clear();
-  const bool trace = tracer_.armed();
-  for (const ParkedCoro& parked : waiters) {
-    parked.session->ops_pending = 0;
-    if (trace) {
-      tracer_.Record(parked.session->id, obs::TracePhase::kFlushWait, false,
-                     obs::NowNanos(), parked.session->spec.trace_id);
-    }
-    ResumeParked(parked);
   }
 }
 
@@ -957,14 +851,12 @@ bool SyncService::Step() {
     ResumeParked(parked);
   }
 
-  // Drain build phases: each flush applies every queued op across all
-  // sessions as one coalesced pass, then resumes the owners, who may queue
-  // the next phase; lease waiters wake as the builds they were parked on
-  // get stored, and split-party peers wake as the messages they await are
-  // sent. As completions free in-flight capacity, backlog sessions are
-  // admitted INTO the running tick, so a departing wave's late phases
-  // coalesce with the next wave's early ones (no pipeline bubble). When
-  // this loop exits, every live coroutine sits at a round boundary or a
+  // Drain the wake queues: lease waiters wake as the builds they were
+  // parked on get stored, and split-party peers wake as the messages they
+  // await are sent. As completions free in-flight capacity, backlog
+  // sessions are admitted INTO the running tick (no pipeline bubble).
+  // Sketch builds run inline inside the resumed coroutines. When this loop
+  // exits, every live coroutine sits at a round boundary or a
   // not-yet-arrived remote receive.
   for (;;) {
     while (!ready_.empty()) {
@@ -996,11 +888,6 @@ bool SyncService::Step() {
         }
       }
       ResumeParked(parked);
-    }
-    if (!flush_waiters_.empty() || !iblt_ops_.empty() ||
-        !estimator_jobs_.empty()) {
-      FlushPlanner();
-      continue;
     }
     Admit();
     if (ready_.empty() && recv_ready_.empty() && lease_ready_.empty()) {

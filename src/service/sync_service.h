@@ -54,14 +54,14 @@ enum class SessionRole { kBoth, kAliceHalf, kBobHalf };
 /// One reconciliation job. Three shapes:
 ///
 ///  * Steppable set-of-sets session: `alice`/`bob` set, driven through the
-///    per-party protocol coroutines round-by-round with sketch builds
-///    deferred into the cross-session batch planner.
+///    per-party protocol coroutines round-by-round; each builds its own
+///    sketches inline.
 ///  * Half session (role != kBoth): only one party's coroutine runs here,
 ///    against a remote peer (see SessionRole).
 ///  * Opaque session: any reconciliation expressible as a blocking run over
 ///    a Channel (graph, forest, shingle-collection workloads). It executes
 ///    in a single step; it shares the service's scheduling, stats and
-///    transport mirroring but not the batch planner.
+///    transport mirroring.
 struct SessionSpec {
   std::string label;
 
@@ -109,9 +109,7 @@ struct SessionResult {
   uint64_t transcript_hash = 0;
 };
 
-/// Aggregate service counters. Batch occupancy is the planner's headline:
-/// per-session sketch batches rarely cross IbltBatchOptions::
-/// sharded_min_keys, coalesced cross-session flushes should.
+/// Aggregate service counters.
 ///
 /// In a sharded deployment each shard keeps its own ServiceStats (written
 /// only by the shard's thread); ShardedSyncService::AggregateStats() sums
@@ -126,13 +124,13 @@ struct ServiceStats {
   size_t steps = 0;
   /// Coroutine resumptions across all sessions.
   size_t resumes = 0;
-  /// Batch planner flushes, and the IBLT keys they coalesced.
+  /// Build-planner counters. Sessions build their sketches inline, so
+  /// these always read 0; they stay so the STAT? v2 exposition and its
+  /// readers keep their shape until a v3 retires them.
   size_t flushes = 0;
   size_t flushed_keys = 0;
   size_t max_flush_keys = 0;
-  /// Flushes whose occupancy reached the sharded-batch threshold.
   size_t sharded_flushes = 0;
-  /// Deferred estimator update jobs executed.
   size_t estimator_jobs = 0;
   /// Alice-message memoization (registered shared sets only): hits =
   /// messages replayed from the cache, misses = messages actually built
@@ -163,11 +161,10 @@ struct ServiceStats {
 };
 
 struct SyncServiceOptions {
-  /// Planner flush tuning (sharding threshold + worker cap).
-  IbltBatchOptions batch;
   /// Admission window: sessions resident at once; the rest wait in the
-  /// backlog. Large windows maximize planner occupancy, small ones bound
-  /// memory (and, on one core, working-set thrash). 0 = unbounded.
+  /// backlog. Large windows keep more sessions runnable per tick, small
+  /// ones bound memory (and, on one core, working-set thrash). 0 =
+  /// unbounded.
   size_t max_inflight = 8192;
   /// Keep recovered sets in SessionResult (benches turn this off).
   bool keep_recovered = true;
@@ -177,10 +174,10 @@ struct SyncServiceOptions {
   /// Record SessionResult::transcript_hash (the shard-invariance witness;
   /// costs one pass over each finished transcript).
   bool hash_transcripts = false;
-  /// Latency instrumentation (src/obs/): session/round/flush/lease
-  /// histograms recorded along the scheduling paths. Off skips every clock
-  /// read (the bench A/B overhead knob); the cheap decode/retry counters
-  /// stay on either way.
+  /// Latency instrumentation (src/obs/): session/round/lease histograms
+  /// recorded along the scheduling paths. Off skips every clock read (the
+  /// bench A/B overhead knob); the cheap decode/retry counters stay on
+  /// either way.
   bool metrics = true;
   /// Slow-session tracing: a session whose end-to-end latency reaches this
   /// threshold dumps its span tree to stderr, once. 0 disables the slow
@@ -210,19 +207,19 @@ uint64_t HashTranscript(const Channel& channel);
 /// machines stepped round-by-round, instead of one blocking protocol call
 /// per client.
 ///
-/// Scheduling model (single-threaded; only planner flushes fan out to
-/// worker threads): each Step() tick
+/// Scheduling model (single-threaded): each Step() tick
 ///   1. drains the cross-thread mailbox (shard-routed submissions, remote
 ///      frames, cancels, lease wakes — see ShardedSyncService),
 ///   2. admits backlog sessions up to the in-flight window,
-///   3. resumes every runnable session until it parks at a round boundary
-///      (SendAwaiter) or a sketch-build barrier (BuildBarrier) or finishes,
-///   4. repeatedly FLUSHES the batch planner: all queued sketch-build ops —
-///      child-IBLT encodes, outer-table updates, estimator updates, from
-///      every parked session — are applied as one coalesced
-///      Iblt::ApplyOps pass, and the owning sessions are resumed with their
-///      sketches built (the scatter-back). The loop runs until every live
-///      session is parked at a round boundary.
+///   3. resumes every session parked at a round boundary (SendAwaiter), once,
+///   4. drains the wake queues — newly admitted sessions, peer receives
+///      whose message arrived, build-lease waiters whose message got
+///      stored — until every live session is parked at a round boundary or
+///      a not-yet-arrived remote receive.
+/// Each session builds its sketches inline, where its protocol asks for
+/// them (Theorem 2.1's per-party linear-time builds); no build waits for
+/// another session's. Only InsertBatch's large-batch branch starts worker
+/// threads, and it joins them before returning.
 ///
 /// THREAD MODEL: one SyncService is owned by exactly one driving thread
 /// (the thread that calls Step — asserted in debug builds). Everything a
@@ -234,7 +231,7 @@ uint64_t HashTranscript(const Channel& channel);
 /// memoized Alice attempt messages, and all sessions share one pooled pair
 /// of decode scratches — per-session warm-decode behavior without
 /// per-session scratch churn. See src/service/README.md for the state
-/// machine, the planner, and the view-lifetime rules across steps.
+/// machine and the view-lifetime rules across steps.
 class SyncService {
  public:
   /// `cache` is the cross-session memo state; null constructs a private
@@ -284,7 +281,7 @@ class SyncService {
 
   /// Fails a live session (peer disconnect) and reclaims it. Must be
   /// called between Step() calls — sessions are then parked only at round
-  /// boundaries or remote receives, never mid-flush. Returns false for an
+  /// boundaries, remote receives or lease waits. Returns false for an
   /// unknown session. Driving thread only.
   bool CancelSession(uint64_t id, Status reason);
 
@@ -376,14 +373,6 @@ class SyncService {
     std::coroutine_handle<> handle;
   };
 
-  struct EstimatorJob {
-    L0Estimator* l0 = nullptr;
-    StrataEstimator* strata = nullptr;
-    const uint64_t* xs = nullptr;
-    size_t n = 0;
-    int side = 0;
-  };
-
   /// One mailbox command (see Enqueue*).
   struct Command {
     enum class Kind { kSubmit, kRemote, kCancel, kLeaseWake };
@@ -416,9 +405,6 @@ class SyncService {
   bool RetryDeferredRemote();
   std::shared_ptr<const SetsOfSetsProtocol> ProtocolFor(
       SsrProtocolKind kind, const SsrParams& params);
-  /// Applies every queued planner op as one coalesced pass and resumes the
-  /// sessions that were parked on the barrier.
-  void FlushPlanner();
   uint64_t IdentityOf(const void* set) const;
   /// One monotonic timestamp when any observability consumer (metrics or
   /// tracer) is armed; 0 when both are off, so hot paths skip clock reads.
@@ -475,14 +461,13 @@ class SyncService {
   /// Sessions admitted but not yet started.
   std::deque<Session*> ready_;
   std::deque<ParkedCoro> round_waiters_;
-  std::deque<ParkedCoro> flush_waiters_;
   /// Coroutines whose awaited peer message has arrived (split-party wakes),
-  /// drained inside the Step flush loop.
+  /// drained inside the Step loop.
   std::deque<ParkedCoro> recv_ready_;
   /// Coroutines parked behind an in-flight Alice message build (the lease
   /// lives in the SharedServiceCache; the parked handles stay shard-local
   /// because frames never cross threads), and the wake queue drained by
-  /// the Step flush loop.
+  /// the Step loop.
   std::unordered_map<uint64_t, std::deque<ParkedCoro>> lease_waiters_;
   std::deque<ParkedCoro> lease_ready_;
   /// Live sessions by id (remote delivery / cancellation), plus messages
@@ -490,12 +475,6 @@ class SyncService {
   std::unordered_map<uint64_t, Session*> active_by_id_;
   std::unordered_map<uint64_t, std::vector<Channel::Message>>
       pending_remote_;
-
-  // Batch planner state: deferred IBLT ops + estimator jobs of the current
-  // phase, and the reusable hash staging for ApplyOps.
-  std::vector<Iblt::ApplyOp> iblt_ops_;
-  std::vector<EstimatorJob> estimator_jobs_;
-  Iblt::ApplyScratch apply_scratch_;
 
   // Shared decode scratch pool (slots 0/1; see ProtocolContext::Scratch).
   // Per shard: sessions on one shard share it, threads never do.

@@ -313,6 +313,44 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{8, 16}, SweepParam{16, 48},
                       SweepParam{32, 100}));
 
+// --- Statistical check of the peeling threshold (Theorem 2.1). ---
+// With k = 4 hashes the 2-core of the random hypergraph vanishes w.h.p.
+// once cells/key exceeds ~1.30 (Walzer, "What if we tried Less Power?",
+// tabulates the thresholds), so a table of 1000 keys should almost never
+// peel at 1.1 cells/key and almost always at 1.5. Seeded, so the counts are
+// deterministic; the bounds leave room for a different but correct hash.
+
+int PeelSuccesses(double cells_per_key, int trials) {
+  constexpr size_t kKeys = 1000;
+  DecodeScratch scratch;
+  std::vector<uint64_t> keys(kKeys);
+  int successes = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    IbltConfig config;
+    config.cells =
+        static_cast<size_t>(cells_per_key * static_cast<double>(kKeys));
+    config.num_hashes = 4;
+    config.seed = static_cast<uint64_t>(0x5eed0000 + trial);
+    Iblt table(config);
+    Rng rng(static_cast<uint64_t>(trial) * 7919 + 17);
+    for (uint64_t& key : keys) key = rng.NextU64();
+    table.InsertBatch(keys);
+    Result<IbltDecodeResult64> decoded = table.DecodeU64(&scratch);
+    if (decoded.ok() && decoded.value().positive.size() == kKeys &&
+        decoded.value().negative.empty()) {
+      ++successes;
+    }
+  }
+  return successes;
+}
+
+TEST(IbltPeelingThresholdTest, FourHashDecodeJumpsAcrossThreshold) {
+  constexpr int kTrials = 200;
+  EXPECT_LE(PeelSuccesses(1.1, kTrials), 2) << "below the threshold";
+  EXPECT_GE(PeelSuccesses(1.5, kTrials), kTrials - 2)
+      << "above the threshold";
+}
+
 // --- Property sweep: subtraction with a large shared core. ---
 class IbltSubtractSweep : public ::testing::TestWithParam<size_t> {};
 

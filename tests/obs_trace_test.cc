@@ -247,7 +247,7 @@ TEST(SessionTracerTest, RecordDoesNotAllocate) {
     for (uint64_t i = 0; i < 10'000; ++i) {
       tracer.Record(i % 17 + 1,
                     i % 2 == 0 ? TracePhase::kRoundWait
-                               : TracePhase::kFlushWait,
+                               : TracePhase::kLeaseWait,
                     i % 2 == 0, i * 100);
     }
   });

@@ -70,7 +70,7 @@ TEST(StallWatchdogTest, StallDumpsRingOncePerEpisode) {
   hb.Beat(1'000 * kMs);
   SessionTracer tracer;
   tracer.Configure(32, 1);
-  tracer.Record(7, TracePhase::kFlushWait, true, 999 * kMs, /*trace_id=*/0xe);
+  tracer.Record(7, TracePhase::kLeaseWait, true, 999 * kMs, /*trace_id=*/0xe);
   StallWatchdog dog;
   bool queued = true;
   dog.Watch({"shard-3", &hb, [&queued] { return queued; }, &tracer, {}});
@@ -79,7 +79,7 @@ TEST(StallWatchdogTest, StallDumpsRingOncePerEpisode) {
     EXPECT_EQ(dog.CheckOnce(2'000 * kMs, 100 * kMs, out), 1u);
   });
   EXPECT_NE(first.find("shard shard-3 stalled"), std::string::npos);
-  EXPECT_NE(first.find("> flush-wait"), std::string::npos);
+  EXPECT_NE(first.find("> lease-wait"), std::string::npos);
   EXPECT_NE(first.find("trace 000000000000000e"), std::string::npos);
   EXPECT_EQ(dog.stall_dumps(), 1u);
 

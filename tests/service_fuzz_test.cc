@@ -1,8 +1,9 @@
 // Interleaving fuzz: 100+ concurrent sessions with randomized workloads,
-// protocols and d-knowledge, stepped through one SyncService so their build
-// phases interleave arbitrarily in the batch planner. Every session must
-// recover its own Alice exactly — no cross-session bleed through the
-// coalesced ApplyOps passes, the shared scratch pool, or the message cache.
+// protocols and d-knowledge, stepped through one SyncService so their rounds
+// interleave arbitrarily. Every session must recover its own Alice exactly
+// and send the transcript the blocking Reconcile sends for the same spec —
+// no cross-session bleed through the shared scratch pool, the message cache
+// or the parsed-table memo.
 
 #include <gtest/gtest.h>
 
@@ -22,18 +23,27 @@ namespace {
 
 struct Expected {
   SetOfSets alice;
+  /// HashTranscript of the same spec run through the blocking Reconcile
+  /// (0 where the test does not check transcripts).
+  uint64_t transcript_hash = 0;
 };
+
+uint64_t BlockingTranscriptHash(const SessionSpec& session) {
+  std::unique_ptr<SetsOfSetsProtocol> protocol =
+      MakeSsrProtocol(session.protocol, session.params);
+  Channel channel;
+  Result<SsrOutcome> outcome = protocol->Reconcile(
+      *session.alice, *session.bob, session.known_d, &channel);
+  EXPECT_TRUE(outcome.ok()) << session.label;
+  return HashTranscript(channel);
+}
 
 TEST(ServiceFuzzTest, HundredsOfInterleavedSessionsAllRecover) {
   constexpr int kSessions = 128;
   Rng rng(20260730);
 
   SyncServiceOptions options;
-  // A tiny sharding threshold so coalesced flushes exercise the sharded
-  // ApplyOps path (deterministically, via the worker test hook) even at
-  // test-sized workloads.
-  options.batch.sharded_min_keys = 512;
-  options.batch.max_workers = 3;
+  options.hash_transcripts = true;
   SyncService service(options);
 
   // A quarter of the sessions share one registered server set (cache-hit
@@ -67,7 +77,6 @@ TEST(ServiceFuzzTest, HundredsOfInterleavedSessionsAllRecover) {
       session.alice = server_set;
       session.bob = std::make_shared<SetOfSets>(std::move(bob));
       session.known_d = 6;
-      expected.push_back({*server_set});
     } else {
       SsrWorkloadSpec spec;
       spec.num_children = 8 + rng.NextU64() % 12;
@@ -84,14 +93,12 @@ TEST(ServiceFuzzTest, HundredsOfInterleavedSessionsAllRecover) {
                             : std::nullopt;
       session.alice = std::make_shared<SetOfSets>(w.alice);
       session.bob = std::make_shared<SetOfSets>(w.bob);
-      expected.push_back({w.alice});
     }
+    expected.push_back({*session.alice, BlockingTranscriptHash(session)});
     service.Submit(std::move(session));
   }
 
-  Iblt::sharded_workers_for_test = 3;
   service.RunToCompletion();
-  Iblt::sharded_workers_for_test = 0;
 
   std::vector<SessionResult> results = service.TakeResults();
   ASSERT_EQ(results.size(), static_cast<size_t>(kSessions));
@@ -104,32 +111,28 @@ TEST(ServiceFuzzTest, HundredsOfInterleavedSessionsAllRecover) {
     ASSERT_TRUE(result.status.ok())
         << result.label << ": " << result.status.ToString();
     EXPECT_EQ(result.recovered, Canonicalize(want.alice)) << result.label;
+    // Interleaving with 127 other sessions and the shared memo must not
+    // change a single transcript byte.
+    EXPECT_EQ(result.transcript_hash, want.transcript_hash) << result.label;
   }
 
   const ServiceStats& stats = service.stats();
   EXPECT_EQ(stats.sessions_completed, static_cast<size_t>(kSessions));
   EXPECT_EQ(stats.sessions_failed, 0u);
-  EXPECT_GT(stats.flushes, 0u);
   EXPECT_GT(stats.cache_hits, 0u);
-  // The coalesced flushes must actually cross the (test-sized) sharding
-  // threshold — the cross-session occupancy the planner exists for.
-  EXPECT_GT(stats.sharded_flushes, 0u);
-  EXPECT_GE(stats.max_flush_keys, options.batch.sharded_min_keys);
 }
 
 TEST(ServiceFuzzTest, ShardedInterleavedSessionsAllRecover) {
   // The fuzz workload shape of the test above, but spread over 3 shard
   // threads (an odd count, so round-robin routing never aligns with the
   // i%4 shared-set stride): every session still recovers its own Alice —
-  // no cross-session or cross-SHARD bleed through the shared cache, the
-  // striped lease table, or the per-shard planners.
+  // no cross-session or cross-SHARD bleed through the shared cache or the
+  // striped lease table.
   constexpr int kSessions = 120;
   Rng rng(424242);
 
   ShardedSyncServiceOptions options;
   options.shards = 3;
-  options.service.batch.sharded_min_keys = 512;
-  options.service.batch.max_workers = 2;
   ShardedSyncService service(options);
 
   SsrWorkloadSpec shared_spec;
@@ -206,7 +209,7 @@ TEST(ServiceFuzzTest, ShardedInterleavedSessionsAllRecover) {
 
 TEST(ServiceFuzzTest, BacklogWindowDrainsEverything) {
   // A tiny in-flight window forces multi-wave admission; everything still
-  // completes and the planner keeps flushing per wave.
+  // completes.
   constexpr int kSessions = 40;
   SyncServiceOptions options;
   options.max_inflight = 7;

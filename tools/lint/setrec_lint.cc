@@ -24,6 +24,12 @@
 //                    scratch's next decode. Storing one in a class member
 //                    outlives the borrow; only src/iblt/iblt.h (the
 //                    defining header and the arena itself) may do so.
+//   thread-spawn     std::thread / std::jthread / pthread_create only in
+//                    the files that own a thread by design: InsertBatch's
+//                    large-batch shards (src/iblt/iblt.cc), the shard
+//                    drivers, the multi-pump and the stall watchdog. A
+//                    SyncService has exactly one driving thread and never
+//                    starts others; coroutine frames must not migrate.
 //
 // Annotation vocabulary (see docs/ANALYSIS.md):
 //   // LINT(alloc-free)        begin an allocation-free region
@@ -76,11 +82,21 @@ const char* const kWireParsePrefixes[] = {
 };
 
 // The only files allowed to call coroutine_handle<>::resume(): the service
-// shard driver, the planner build context, and the Task awaiter machinery.
+// shard driver, the protocol context's receive pump, and the Task awaiter
+// machinery.
 const char* const kResumeWhitelist[] = {
     "src/service/sync_service.cc",
     "src/core/build_context.h",
     "src/core/task.h",
+};
+
+// The only files that may start threads (see the thread-spawn rule). An
+// entry ending in '.' covers the .h and the .cc of one unit.
+const char* const kThreadSpawnWhitelist[] = {
+    "src/iblt/iblt.cc",
+    "src/service/sharded_service.",
+    "src/net/multi_pump.",
+    "src/obs/watchdog.",
 };
 
 // The defining header for the view types; its member declarations ARE the
@@ -97,6 +113,16 @@ bool HasWireParsePrefix(const std::string& rel) {
 bool IsResumeWhitelisted(const std::string& rel) {
   for (const char* path : kResumeWhitelist) {
     if (rel == path) return true;
+  }
+  return false;
+}
+
+bool IsThreadSpawnWhitelisted(const std::string& rel) {
+  for (const char* entry : kThreadSpawnWhitelist) {
+    const std::string allowed = entry;
+    if (allowed.back() == '.' ? rel.rfind(allowed, 0) == 0 : rel == allowed) {
+      return true;
+    }
   }
   return false;
 }
@@ -376,6 +402,24 @@ void CheckRawPoll(const SourceFile& f, std::vector<Violation>* out) {
   }
 }
 
+// Thread objects and pthread_create outside the whitelisted owners. Uses of
+// the std::thread type's statics (std::thread::id,
+// std::thread::hardware_concurrency) start nothing and stay legal.
+void CheckThreadSpawn(const SourceFile& f, std::vector<Violation>* out) {
+  if (IsThreadSpawnWhitelisted(f.rel_path)) return;
+  static const std::regex kSpawn(
+      R"(\bstd\s*::\s*j?thread\b(?!\s*::)|\bpthread_create\s*\()");
+  for (size_t i = 0; i < f.code.size(); ++i) {
+    if (LineAllows(f.raw[i], "thread-spawn")) continue;
+    if (std::regex_search(f.code[i], kSpawn)) {
+      out->push_back({f.rel_path, i + 1, "thread-spawn",
+                      "thread started outside the files that own threads "
+                      "by design; a SyncService has one driving thread, "
+                      "and coroutine frames must never migrate"});
+    }
+  }
+}
+
 // Tracks whether each `{` opens a class/struct body, so member declarations
 // can be told apart from locals and parameters.
 void CheckViewMembers(const SourceFile& f, std::vector<Violation>* out) {
@@ -435,6 +479,7 @@ void LintFile(const SourceFile& f, std::vector<Violation>* out) {
   CheckClockInRegions(f, out);
   CheckFormatInRegions(f, out);
   CheckRawPoll(f, out);
+  CheckThreadSpawn(f, out);
   CheckViewMembers(f, out);
 }
 
