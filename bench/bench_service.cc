@@ -625,19 +625,26 @@ ShardSweepRow MeasureShardRow(const Workload& w, size_t shards,
 // ---------------------------------------------------------------------
 
 struct WireRow {
-  double dense_bytes_per_session = 0;
-  double sparse_bytes_per_session = 0;
+  size_t sessions = 0;
+  size_t dense_bytes = 0;   ///< Total over all sessions.
+  size_t sparse_bytes = 0;  ///< Total over all sessions.
 
+  double dense_bytes_per_session() const {
+    return static_cast<double>(dense_bytes) / static_cast<double>(sessions);
+  }
+  double sparse_bytes_per_session() const {
+    return static_cast<double>(sparse_bytes) / static_cast<double>(sessions);
+  }
   double reduction() const {
-    return sparse_bytes_per_session > 0
-               ? dense_bytes_per_session / sparse_bytes_per_session
-               : 0;
+    return sparse_bytes > 0 ? static_cast<double>(dense_bytes) /
+                                  static_cast<double>(sparse_bytes)
+                            : 0;
   }
 };
 
 Result<WireRow> MeasureWireBytes(Workload w) {
   WireRow row;
-  const double sessions = static_cast<double>(w.clients.size());
+  row.sessions = w.clients.size();
   w.params.wire_codec = WireCodec::kDense;
   DriverResult dense = RunDirect(w);
   w.params.wire_codec = WireCodec::kSparse;
@@ -645,8 +652,8 @@ Result<WireRow> MeasureWireBytes(Workload w) {
   if (dense.failed != 0 || sparse.failed != 0) {
     return Unavailable("wire-bytes sessions failed");
   }
-  row.dense_bytes_per_session = static_cast<double>(dense.bytes) / sessions;
-  row.sparse_bytes_per_session = static_cast<double>(sparse.bytes) / sessions;
+  row.dense_bytes = dense.bytes;
+  row.sparse_bytes = sparse.bytes;
   return row;
 }
 
@@ -763,20 +770,22 @@ int CheckObsGate(const ObsReport& r) {
   return failures;
 }
 
-bool FindJsonNumber(const std::string& text, const std::string& key,
-                    double* out) {
+/// The unsigned integer after the first `"key":` in `text`.
+bool FindJsonSize(const std::string& text, const std::string& key,
+                  size_t* out) {
   const size_t key_at = text.find("\"" + key + "\":");
   if (key_at == std::string::npos) return false;
-  const size_t colon = text.find(':', key_at);
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
+  const char* value = text.c_str() + key_at + key.size() + 3;
+  char* end = nullptr;
+  *out = static_cast<size_t>(std::strtoull(value, &end, 10));
+  return end != value;
 }
 
-/// --check-bytes[=PATH]: regression guard for CI / the verify skill.
-/// Re-measures the standard 10k mixed workload's deterministic
-/// bytes-per-session under both codecs and fails (exit 1) if either
-/// regressed more than 5% against the committed BENCH_service.json.
+/// --check-bytes[=PATH]: wire guard for CI / the verify skill.
+/// Re-measures the standard 10k mixed workload's total bytes under both
+/// codecs and fails (exit 1) on ANY difference from the committed
+/// BENCH_service.json totals: the totals are deterministic, so a changed
+/// byte means a changed wire.
 int RunCheckBytes(const char* committed_path) {
   const size_t kSessions = 10'000;
   Workload w = MakeWorkload(kSessions, /*children=*/64, /*child_size=*/8,
@@ -804,40 +813,35 @@ int RunCheckBytes(const char* committed_path) {
   }
   std::fclose(f);
 
-  WireRow want;
-  if (!FindJsonNumber(committed, "dense_bytes_per_session",
-                      &want.dense_bytes_per_session) ||
-      !FindJsonNumber(committed, "sparse_bytes_per_session",
-                      &want.sparse_bytes_per_session)) {
+  size_t want_dense = 0;
+  size_t want_sparse = 0;
+  if (!FindJsonSize(committed, "dense_bytes_total", &want_dense) ||
+      !FindJsonSize(committed, "sparse_bytes_total", &want_sparse)) {
     std::fprintf(stderr,
-                 "bench_service --check-bytes: %s has no wire section "
+                 "bench_service --check-bytes: %s has no wire byte totals "
                  "(regenerate with --json)\n",
                  committed_path);
     return 1;
   }
 
-  constexpr double kTolerance = 1.05;  // >5% growth is a regression.
   int failures = 0;
   struct {
     const char* name;
-    double now;
-    double committed;
+    size_t now;
+    size_t committed;
   } rows[] = {
-      {"dense", measured.value().dense_bytes_per_session,
-       want.dense_bytes_per_session},
-      {"sparse", measured.value().sparse_bytes_per_session,
-       want.sparse_bytes_per_session},
+      {"dense", measured.value().dense_bytes, want_dense},
+      {"sparse", measured.value().sparse_bytes, want_sparse},
   };
   for (const auto& row : rows) {
-    const bool ok = row.now <= row.committed * kTolerance;
-    std::printf("%-7s %10.1f bytes/session  committed %10.1f  %s\n",
-                row.name, row.now, row.committed,
-                ok ? "ok" : "REGRESSED (>5%)");
+    const bool ok = row.now == row.committed;
+    std::printf("%-7s %10zu bytes (%.4f/session)  committed %10zu  %s\n",
+                row.name, row.now,
+                static_cast<double>(row.now) / static_cast<double>(kSessions),
+                row.committed, ok ? "ok" : "CHANGED");
     if (!ok) ++failures;
   }
-  std::printf("reduction %.2fx (committed %.2fx)\n",
-              measured.value().reduction(),
-              want.dense_bytes_per_session / want.sparse_bytes_per_session);
+  std::printf("reduction %.2fx\n", measured.value().reduction());
   return failures == 0 ? 0 : 1;
 }
 
@@ -992,8 +996,10 @@ int RunJsonSuite() {
       "  \"wire\": {\"sessions\": %zu, "
       "\"dense_bytes_per_session\": %.1f, "
       "\"sparse_bytes_per_session\": %.1f, \"reduction\": %.2f,\n"
+      "    \"dense_bytes_total\": %zu, \"sparse_bytes_total\": %zu,\n"
       "    \"sparse_service_sessions_per_sec\": %.0f,\n",
-      kSessions, dense_bps, sparse_bps, dense_bps / sparse_bps,
+      kSessions, dense_bps, sparse_bps, dense_bps / sparse_bps, direct.bytes,
+      sparse_direct.bytes,
       static_cast<double>(kSessions) / sparse_service.seconds);
   json += buf;
   json += "    \"per_protocol\": [\n";
@@ -1010,8 +1016,8 @@ int RunJsonSuite() {
         "      {\"protocol\": \"%s\", \"dense_bytes_per_session\": %.1f, "
         "\"sparse_bytes_per_session\": %.1f, \"reduction\": %.2f}%s\n",
         SsrProtocolKindName(static_cast<SsrProtocolKind>(kind)),
-        row.value().dense_bytes_per_session,
-        row.value().sparse_bytes_per_session, row.value().reduction(),
+        row.value().dense_bytes_per_session(),
+        row.value().sparse_bytes_per_session(), row.value().reduction(),
         kind + 1 < 4 ? "," : "");
     json += buf;
   }

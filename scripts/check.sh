@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-shot gate driver: runs the four verification lanes (default, asan,
-# tsan, lint — see docs/ANALYSIS.md) plus the perfbench selftest and the
-# obs smoke lanes (bench gate + live distributed-obs probe,
-# docs/OBSERVABILITY.md) and exits non-zero if any fails.
+# tsan, lint — see docs/ANALYSIS.md) plus the wire-bytes guard, the
+# perfbench selftest and the obs smoke lanes (bench gate + live
+# distributed-obs probe, docs/OBSERVABILITY.md) and exits non-zero if any
+# fails.
 # Usage: scripts/check.sh [-j N]
 set -u
 
@@ -111,6 +112,11 @@ run distributed-obs distributed_obs
 # measured sessions with zero failures/protocol errors and a bounded p99.
 run net-scale ./build/bench_service --net-scale=2000
 
+# Lane 1e: wire bytes — the standard 10k mixed workload must send exactly
+# the dense and sparse byte totals committed in BENCH_service.json's wire
+# section; any difference means the wire changed.
+run wire-bytes ./build/bench_service --check-bytes
+
 # Lane 2: ASan+UBSan over the lifetime-sensitive suites.
 lane asan asan -L 'fast|service'
 
@@ -125,4 +131,4 @@ if [ "${#failed[@]}" -ne 0 ]; then
   echo "CHECK FAILED: ${failed[*]}"
   exit 1
 fi
-echo "CHECK OK: default, perfbench-selftest, obs-smoke, distributed-obs, net-scale, asan, tsan, lint all green"
+echo "CHECK OK: default, perfbench-selftest, obs-smoke, distributed-obs, net-scale, wire-bytes, asan, tsan, lint all green"

@@ -123,11 +123,12 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
       {kAttemptTag, d, d_hat, seed, h,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    writer->PutU64(ParentFingerprint(alice, fp_family));
     std::vector<uint64_t> fps(alice.size());
     for (size_t i = 0; i < alice.size(); ++i) {
       fps[i] = ChildFingerprint(alice[i], fp_family);
     }
+    // ParentFingerprint(alice) from the child fingerprints already in hand.
+    writer->PutU64(SetFingerprint(fps, fp_family));
     std::vector<uint8_t> packed;
     for (size_t level = 0; level < plan.t; ++level) {
       const size_t blob_width = plan.outer_configs[level].key_width;

@@ -54,14 +54,16 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
   auto build = [&](ByteWriter* writer) -> Task<Status> {
     const size_t blob_width = configs.outer.key_width;
     std::vector<uint8_t> packed(alice.size() * blob_width);
+    std::vector<uint64_t> fps(alice.size());
     for (size_t i = 0; i < alice.size(); ++i) {
-      WriteChildIbltBlob(alice[i], configs.child,
-                         ChildFingerprint(alice[i], fp_family),
+      fps[i] = ChildFingerprint(alice[i], fp_family);
+      WriteChildIbltBlob(alice[i], configs.child, fps[i],
                          packed.data() + i * blob_width);
     }
     Iblt outer(configs.outer);
     ctx->QueueInsertBytes(&outer, packed.data(), alice.size());
-    writer->PutU64(ParentFingerprint(alice, fp_family));
+    // ParentFingerprint(alice) from the child fingerprints already in hand.
+    writer->PutU64(SetFingerprint(fps, fp_family));
     outer.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
   };

@@ -79,7 +79,8 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
     if (carry_d_hat) writer->PutVarint(d_hat);
     Iblt ta(fp_config);
     ctx->QueueInsertU64(&ta, alice_fps.data(), alice_fps.size());
-    writer->PutU64(ParentFingerprint(alice, fp_family));
+    // ParentFingerprint(alice) from the child fingerprints already in hand.
+    writer->PutU64(SetFingerprint(alice_fps, fp_family));
     ta.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
   };

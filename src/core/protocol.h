@@ -138,9 +138,11 @@ class SetsOfSetsProtocol {
 /// NormalizeParentMultiset for multiset parents.)
 SetOfSets Canonicalize(SetOfSets sets);
 
-/// Order-invariant fingerprint of a parent set (canonicalized internally):
-/// the sum-based SetFingerprint of the child fingerprints, so it is also
-/// multiplicity-sensitive.
+/// Order-invariant fingerprint of a parent set: the sum-based
+/// SetFingerprint of the child fingerprints, so equal to
+/// SetFingerprint(child fingerprints, family) in any order. Nothing is
+/// canonicalized here: a duplicate child counts twice, so callers pass
+/// canonical sets (see Canonicalize).
 uint64_t ParentFingerprint(const SetOfSets& sets, const HashFamily& family);
 
 /// Per-child fingerprint (the paper's "O(log s)-bit pairwise independent

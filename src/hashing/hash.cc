@@ -1,7 +1,5 @@
 #include "hashing/hash.h"
 
-#include <cstring>
-
 #include "hashing/random.h"
 
 namespace setrec {
@@ -25,24 +23,7 @@ uint64_t HashFamily::HashU64Indexed(uint64_t x, uint64_t index) const {
 }
 
 uint64_t HashFamily::HashBytes(const uint8_t* data, size_t n) const {
-  // Multiply-rotate over 8-byte lanes with a SplitMix finalizer; seeded.
-  const uint64_t kPrime1 = 0x9e3779b185ebca87ull;
-  const uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
-  uint64_t h = seed_ ^ (n * kPrime1);
-  size_t i = 0;
-  while (i + 8 <= n) {
-    uint64_t lane;
-    std::memcpy(&lane, data + i, 8);
-    h ^= Mix64(lane * kPrime2);
-    h = (h << 27) | (h >> 37);
-    h = h * kPrime1 + kPrime2;
-    i += 8;
-  }
-  uint64_t tail = 0;
-  int shift = 0;
-  for (; i < n; ++i, shift += 8) tail |= static_cast<uint64_t>(data[i]) << shift;
-  h ^= Mix64(tail + kPrime2);
-  return Mix64(h);
+  return HashBytesSeeds<1>({seed_}, data, n)[0];
 }
 
 uint64_t SetFingerprint(const std::vector<uint64_t>& elements,

@@ -1,8 +1,10 @@
 #ifndef SETREC_HASHING_HASH_H_
 #define SETREC_HASHING_HASH_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "hashing/random.h"
@@ -70,42 +72,61 @@ class HashFamily {
   /// Hashes a 64-bit key with an extra index, e.g. one per IBLT partition.
   uint64_t HashU64Indexed(uint64_t x, uint64_t index) const;
 
-  /// Hashes a byte string (xxhash-style multiply-rotate over 8-byte lanes).
+  /// Hashes a byte string (xxhash-style multiply-rotate over 8-byte lanes;
+  /// defined once, in HashBytesSeeds below).
   uint64_t HashBytes(const uint8_t* data, size_t n) const;
   uint64_t HashBytes(const std::vector<uint8_t>& data) const {
     return HashBytes(data.data(), data.size());
   }
 
-  /// Hashes one 64-bit word exactly as HashBytes would hash its 8
-  /// little-endian bytes (same value, no memory round-trip). This is the
-  /// IBLT hot path for 8-byte keys.
-  uint64_t HashWord8(uint64_t lane) const {
-    return HashWord8Premixed(MixLane8(lane));
-  }
-
-  /// The seed-independent first stage of HashWord8. When the same key is
-  /// hashed by several families (IBLT bucket + checksum), compute this once
-  /// and feed it to each family's HashWord8Premixed.
-  static uint64_t MixLane8(uint64_t lane) {
-    return Mix64(lane * 0xc2b2ae3d27d4eb4full);  // kPrime2
-  }
-
-  /// Completes HashWord8 from a MixLane8 result; HashWord8Premixed(
-  /// MixLane8(lane)) == HashBytes(little-endian bytes of lane, 8).
-  uint64_t HashWord8Premixed(uint64_t mixed_lane) const {
-    const uint64_t kPrime1 = 0x9e3779b185ebca87ull;
-    const uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
-    uint64_t h = seed_ ^ (8 * kPrime1);
-    h ^= mixed_lane;
-    h = (h << 27) | (h >> 37);
-    h = h * kPrime1 + kPrime2;
-    h ^= Mix64(kPrime2);  // Empty tail word (compile-time constant).
-    return Mix64(h);
+  /// {a.HashBytes(data, n), b.HashBytes(data, n)} from one pass over the
+  /// bytes: each lane is loaded and mixed once, and the two families'
+  /// multiply-rotate chains run side by side. This is the IBLT hot path,
+  /// where every key is hashed by a bucket and a checksum family; inline,
+  /// so a constant `n` (8-byte keys) folds the loop and the tail away.
+  static std::array<uint64_t, 2> HashBytesPair(const HashFamily& a,
+                                               const HashFamily& b,
+                                               const uint8_t* data, size_t n) {
+    return HashBytesSeeds<2>({a.seed_, b.seed_}, data, n);
   }
 
   uint64_t seed() const { return seed_; }
 
  private:
+  /// The one definition of the byte hash, run for K seeds in one pass.
+  /// Per 8-byte lane: a seed-independent mix m = Mix64(lane * kPrime2),
+  /// then per seed h = rotl(h ^ m, 27) * kPrime1 + kPrime2, starting from
+  /// h = seed ^ (n * kPrime1). The remaining n % 8 bytes form a
+  /// little-endian tail word t, and each result is Mix64(h ^ Mix64(t +
+  /// kPrime2)).
+  // LINT(alloc-free) — every IBLT key hash runs through here: pure mixing.
+  template <size_t K>
+  static std::array<uint64_t, K> HashBytesSeeds(
+      const std::array<uint64_t, K>& seeds, const uint8_t* data, size_t n) {
+    constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+    constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+    std::array<uint64_t, K> h{};
+    for (size_t k = 0; k < K; ++k) h[k] = seeds[k] ^ (n * kPrime1);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      uint64_t lane = 0;
+      std::memcpy(&lane, data + i, 8);
+      const uint64_t mixed = Mix64(lane * kPrime2);
+      for (size_t k = 0; k < K; ++k) {
+        const uint64_t x = h[k] ^ mixed;
+        h[k] = ((x << 27) | (x >> 37)) * kPrime1 + kPrime2;
+      }
+    }
+    uint64_t tail = 0;
+    for (int shift = 0; i < n; ++i, shift += 8) {
+      tail |= static_cast<uint64_t>(data[i]) << shift;
+    }
+    const uint64_t mixed_tail = Mix64(tail + kPrime2);
+    for (size_t k = 0; k < K; ++k) h[k] = Mix64(h[k] ^ mixed_tail);
+    return h;
+  }
+  // LINT(end)
+
   uint64_t seed_;
 };
 

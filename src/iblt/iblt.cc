@@ -1,6 +1,7 @@
 #include "iblt/iblt.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <thread>
@@ -68,10 +69,9 @@ uint64_t ModMagic(size_t d) {
 // fixed-width writer: pure mixing and a reciprocal modulo.
 Iblt::KeyHashes HashU64With(const HashFamily& bucket_family,
                             const HashFamily& check_family, uint64_t key) {
-  // The seed-independent lane mix is shared between the two families.
-  uint64_t mixed = HashFamily::MixLane8(key);
-  return {bucket_family.HashWord8Premixed(mixed),
-          check_family.HashWord8Premixed(mixed)};
+  const std::array<uint64_t, 2> h = HashFamily::HashBytesPair(
+      bucket_family, check_family, reinterpret_cast<const uint8_t*>(&key), 8);
+  return {h[0], h[1]};
 }
 
 // The one-hash cell derivation (see Iblt's class comment): the cell of hash
@@ -183,8 +183,9 @@ Iblt::KeyHashes Iblt::HashKey(const uint8_t* key) const {
     std::memcpy(&lane, key, 8);
     return HashKeyU64(lane);
   }
-  return {bucket_family_.HashBytes(key, config_.key_width),
-          check_family_.HashBytes(key, config_.key_width)};
+  const std::array<uint64_t, 2> h = HashFamily::HashBytesPair(
+      bucket_family_, check_family_, key, config_.key_width);
+  return {h[0], h[1]};
 }
 
 size_t Iblt::CellForIndex(uint64_t bucket_hash, int index) const {

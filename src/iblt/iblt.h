@@ -233,9 +233,12 @@ struct DecodeScratch {
 /// by address (little-endian layout assumed, as everywhere in the wire
 /// format).
 ///
-/// One-hash cell derivation: each key is hashed ONCE per family —
-/// h = bucket_family.HashBytes(key) and c = check_family.HashBytes(key) —
-/// and the k cells are derived from the single 64-bit h as
+/// One-hash cell derivation: each key's bytes are read in ONE pass that
+/// yields both family hashes, {h, c} = HashFamily::HashBytesPair(
+/// bucket_family, check_family, key) — bit-identical to h =
+/// bucket_family.HashBytes(key) and c = check_family.HashBytes(key), with
+/// each 8-byte lane mixed once for both — and the k cells are derived from
+/// the single 64-bit h as
 ///   cell_i = i * (m/k) + Mix64(h ^ (GOLDEN * (i+1))) % (m/k),
 /// i.e. one strong hash plus k cheap mixes, instead of k full key hashes.
 /// The derivation is identical to the seed implementation's per-index

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <vector>
+
+#include "hashing/random.h"
 
 namespace setrec {
 namespace {
@@ -85,6 +88,50 @@ TEST(HashFamilyTest, BytesHashAvalancheOnSample) {
     data[i / 8] = 0;
   }
   EXPECT_EQ(outputs.size(), 128u);
+}
+
+// HashBytesPair must equal two HashBytes calls bit for bit: it is the IBLT
+// key hash, so any drift in its lane loop, tail or length term changes
+// every table on the wire. Lengths 0-72 cover every tail size with 0-9
+// full lanes; 96/328/488/808 are child-encoding blob widths.
+TEST(HashFamilyTest, BytesPairMatchesTwoHashBytes) {
+  Rng rng(21);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 72; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {96, 328, 488, 808});
+  for (size_t n : lengths) {
+    for (int trial = 0; trial < 8; ++trial) {
+      HashFamily a(rng.NextU64(), rng.NextU64());
+      HashFamily b(rng.NextU64(), rng.NextU64());
+      std::vector<uint8_t> data(n);
+      for (uint8_t& byte : data) byte = static_cast<uint8_t>(rng.NextU64());
+      const std::array<uint64_t, 2> pair =
+          HashFamily::HashBytesPair(a, b, data.data(), n);
+      EXPECT_EQ(pair[0], a.HashBytes(data)) << "n=" << n;
+      EXPECT_EQ(pair[1], b.HashBytes(data)) << "n=" << n;
+    }
+  }
+}
+
+// Known answers for HashBytes: the byte hash (lane loop, tail, length term)
+// places every wide IBLT key, so a changed value is a changed wire.
+TEST(HashFamilyTest, BytesHashKnownAnswers) {
+  HashFamily f(0x5eed, 0x6275636b);
+  const struct {
+    size_t n;
+    uint64_t hash;
+  } rows[] = {{0, 0x2851fb5204dedb65ull},
+              {5, 0x4e33c6a5ee50e86eull},
+              {8, 0x1d0080987490c5c5ull},
+              {13, 0x4b2786a136ddace7ull},
+              {96, 0xb8e9c7dc084479b5ull}};
+  for (const auto& row : rows) {
+    std::vector<uint8_t> data(row.n);
+    for (size_t i = 0; i < row.n; ++i) {
+      data[i] = static_cast<uint8_t>(i * 37 + 1);
+    }
+    EXPECT_EQ(f.HashBytes(data), row.hash) << "n=" << row.n;
+  }
 }
 
 TEST(SetFingerprintTest, OrderInvariant) {
